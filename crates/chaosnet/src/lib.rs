@@ -31,7 +31,7 @@ use std::time::Duration;
 use mcc_harness::splitmix64;
 use mcc_serve::proto::MAX_FRAME_BYTES;
 use mcc_serve::proto2;
-use mcc_serve::tcp::{read_frame_into, write_frame, FrameRead};
+use mcc_serve::tcp::{read_frame_into, wait_for_connection, write_frame, FrameRead};
 
 /// Every fault kind the proxy can inject. The scheduler guarantees each kind
 /// appears exactly once per cycle of `KIND_COUNT` faulted frames.
@@ -241,7 +241,7 @@ impl ChaosProxy {
                         conns.push(thread::spawn(move || relay_connection(stream, csh)));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        thread::sleep(ACCEPT_TICK);
+                        wait_for_connection(&listener, ACCEPT_TICK);
                     }
                     Err(_) => thread::sleep(ACCEPT_TICK),
                 }

@@ -11,33 +11,62 @@
 //! * [`InProcBackend`] wraps an in-process [`Server`] — the bench fleet
 //!   and the deterministic unit tests, with a [`kill`] switch that
 //!   simulates a SIGKILLed shard;
-//! * [`TcpBackend`] pools real connections to a remote `mcc serve`,
-//!   reconnecting with the harness's capped-exponential,
-//!   splitmix64-jittered backoff so a restarting fleet of routers does
-//!   not stampede a recovering shard.
+//! * [`TcpBackend`] reaches a remote `mcc serve`. Submitted requests
+//!   pipeline over one shared v2 connection per shard; blocking calls
+//!   (probes, fan-outs, and the fallback of a torn shared connection)
+//!   use pooled lockstep connections, reconnecting with the harness's
+//!   capped-exponential, splitmix64-jittered backoff so a restarting
+//!   fleet of routers does not stampede a recovering shard.
 //!
 //! [`kill`]: InProcBackend::kill
 
+use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 use mcc_harness::backoff::{self, BackoffConfig};
 use mcc_serve::proto::{self, Envelope, Response, MAX_FRAME_BYTES};
-use mcc_serve::proto2;
+use mcc_serve::proto2::{self, FrameType};
 use mcc_serve::tcp::{read_frame_into, write_frame, FrameRead};
 use mcc_serve::Server;
 
+use crate::RouteCounters;
+
+/// Where a submitted call's outcome goes, from whichever thread has it.
+pub type Done = Box<dyn FnOnce(Result<String, String>) + Send>;
+
 /// One shard, behind whatever transport reaches it.
-pub trait Backend: Send + Sync {
+pub trait Backend: Send + Sync + 'static {
     /// The shard's stable name (ring placement hashes this).
     fn name(&self) -> &str;
 
     /// One request line in, one response line out. `Err` is a transport
     /// failure and trips the breaker; structured errors are `Ok`.
     fn call(&self, line: &str, client: &str) -> Result<String, String>;
+
+    /// Starts one call and returns at once; the outcome goes to `done`.
+    /// The default runs [`Backend::call`] on a thread of its own, which
+    /// is all a transport that can only block can do.
+    fn submit(self: Arc<Self>, line: String, client: String, done: Done) {
+        call_on_thread(self, line, client, done);
+    }
+
+    /// Puts every submitted request still held back on the wire. A
+    /// transport that batches submissions holds them until this call.
+    fn flush(&self) {}
+
+    /// Hands the transport its router's counters, for the counts only
+    /// the transport sees. Called whenever the backend joins a router.
+    fn attach(&self, _counters: &Arc<RouteCounters>) {}
+}
+
+/// [`Backend::submit`] for a transport that can only block: the call
+/// runs on a new thread.
+fn call_on_thread<B: Backend + ?Sized>(b: Arc<B>, line: String, client: String, done: Done) {
+    std::thread::spawn(move || done(b.call(&line, &client)));
 }
 
 /// An in-process shard: calls straight into a [`Server`], with a kill
@@ -105,6 +134,12 @@ impl Backend for InProcBackend {
 /// re-sends the **same frame** (same `request_id`): the server's
 /// idempotency window replays the recorded response instead of executing
 /// again, which is what makes the reconnect path safe.
+///
+/// With v2 on, [`Backend::submit`] pipelines over one shared connection
+/// (see [`Pipe`]): no thread per request, and a burst flushed as one
+/// write. A fault on that connection hands each request still waiting
+/// on it to [`TcpBackend::call`] on its own, with its full retry budget
+/// and the same `(cid, rid)`.
 pub struct TcpBackend {
     name: String,
     addr: String,
@@ -141,6 +176,10 @@ pub struct TcpBackend {
     /// rid source for bare (unenveloped) requests sent over v2 — only
     /// used to match responses on the connection, never for dedup.
     anon_rid: AtomicU64,
+    /// The shared pipelined v2 connection, replaced when it dies.
+    pipe: Mutex<Option<Arc<Pipe>>>,
+    /// The router's counters, once attached.
+    counters: OnceLock<Arc<RouteCounters>>,
 }
 
 /// One pooled v1 connection: the buffered reader survives across round
@@ -189,6 +228,8 @@ impl TcpBackend {
             v2_ok: AtomicBool::new(false),
             v2_pool: Mutex::new(Vec::new()),
             anon_rid: AtomicU64::new(1),
+            pipe: Mutex::new(None),
+            counters: OnceLock::new(),
         }
     }
 
@@ -200,8 +241,9 @@ impl TcpBackend {
         self
     }
 
-    /// Opts this backend into binary protocol v2. The first connection
-    /// runs the hello handshake; a peer that answers with v1's bare 400
+    /// Opts this backend into binary protocol v2, and submitted requests
+    /// into the shared pipelined connection. The first connection runs
+    /// the hello handshake; a peer that answers with v1's bare 400
     /// downgrades the backend to lines, stickily, exactly like the
     /// envelope negotiation one layer down.
     pub fn with_proto2(mut self, on: bool) -> TcpBackend {
@@ -386,11 +428,320 @@ impl TcpBackend {
         }
         Attempt::Fail(format!("{}: {last}", self.name))
     }
+
+    /// The live shared connection, or a new one whose thread connects,
+    /// handshakes and then reads.
+    fn pipe(self: &Arc<Self>) -> Arc<Pipe> {
+        let mut slot = self.pipe.lock().expect(POISONED);
+        if let Some(p) = slot.as_ref().filter(|p| !p.dead.load(Ordering::SeqCst)) {
+            return Arc::clone(p);
+        }
+        let p = Arc::new(Pipe::default());
+        *slot = Some(Arc::clone(&p));
+        let (pipe, backend) = (Arc::clone(&p), Arc::clone(self));
+        std::thread::spawn(move || pipe.run(backend));
+        p
+    }
+
+    /// The attached counters, if any.
+    fn counters(&self) -> Option<&RouteCounters> {
+        self.counters.get().map(|c| &**c)
+    }
+}
+
+/// One request on a shared connection, awaiting its response.
+struct Waiter {
+    /// The forwarded line, kept for the lockstep fallback.
+    line: String,
+    client: String,
+    /// The transport the fallback calls (and the counters it bumps).
+    backend: Arc<TcpBackend>,
+    /// The read deadline, enforced by the connection's reader.
+    deadline: Option<Instant>,
+    done: Done,
+}
+
+impl Waiter {
+    /// Retries this request on its own through the lockstep
+    /// [`TcpBackend::call`]: same `(cid, rid)`, so the shard's dedup
+    /// window keeps it exactly-once, and the full retry budget, so
+    /// another request's fault never spends it.
+    fn fall_back(self) {
+        if let Some(c) = self.backend.counters() {
+            c.bump(&c.pipe_fallbacks);
+        }
+        std::thread::spawn(move || {
+            let r = self.backend.call(&self.line, &self.client);
+            (self.done)(r);
+        });
+    }
+}
+
+/// Waiters by `(cid, rid)`; a duplicate key queues behind the first.
+#[derive(Default)]
+struct Waiters {
+    by_key: HashMap<(String, u64), VecDeque<Waiter>>,
+    closed: bool,
+}
+
+/// The write side: frames queued since the last write, and the socket
+/// once the handshake is done (`None` while connecting).
+#[derive(Default)]
+struct PipeOut {
+    sock: Option<TcpStream>,
+    buf: Vec<u8>,
+    frames: u64,
+}
+
+/// How often a shared connection's reader wakes, with nothing to read,
+/// to check its waiters' deadlines.
+const PIPE_TICK: Duration = Duration::from_millis(10);
+
+/// Why a shared-connection lock can fail: a thread panicked holding it.
+const POISONED: &str = "a thread panicked holding a shared-connection lock";
+
+/// One shared pipelined v2 connection to a shard. Submitters register a
+/// waiter and queue the frame; [`Pipe::flush`] writes everything queued
+/// in one write. One thread connects, handshakes, then reads: it hands
+/// each response to its waiter by `(cid, rid)`, enforces every waiter's
+/// deadline, and tears the connection down on any fault — reset, EOF,
+/// corrupt frame, error frame, or an overdue waiter. Teardown hands
+/// every waiter to [`Waiter::fall_back`].
+#[derive(Default)]
+pub(crate) struct Pipe {
+    waiters: Mutex<Waiters>,
+    out: Mutex<PipeOut>,
+    dead: AtomicBool,
+}
+
+impl Pipe {
+    /// Registers `w` and queues its frame, or hands `w` back if the
+    /// connection is already torn down.
+    fn enqueue(&self, cid: String, rid: u64, body: &str, w: Waiter) -> Result<(), Waiter> {
+        {
+            let mut ws = self.waiters.lock().expect(POISONED);
+            if ws.closed {
+                return Err(w);
+            }
+            ws.by_key
+                .entry((cid.clone(), rid))
+                .or_default()
+                .push_back(w);
+        }
+        let mut out = self.out.lock().expect(POISONED);
+        proto2::encode_frame(&mut out.buf, FrameType::Request, &cid, rid, body, None);
+        out.frames += 1;
+        Ok(())
+    }
+
+    /// Writes every queued frame in one write (a no-op while the
+    /// handshake is still running: the reader flushes after it). A
+    /// failed write tears the connection down.
+    fn flush(&self, counters: Option<&RouteCounters>) {
+        let mut out = self.out.lock().expect(POISONED);
+        let PipeOut {
+            sock: Some(sock),
+            buf,
+            frames,
+        } = &mut *out
+        else {
+            return;
+        };
+        if buf.is_empty() {
+            return;
+        }
+        let ok = write_frame(sock, buf).is_ok();
+        if ok {
+            if let Some(c) = counters {
+                c.pipe_frames.fetch_add(*frames, Ordering::Relaxed);
+                c.pipe_writes.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        mcc_serve::buf::shrink_reusable(buf);
+        *frames = 0;
+        drop(out);
+        if !ok {
+            self.tear_down();
+        }
+    }
+
+    /// Stops taking waiters, closes the connection and hands every
+    /// waiter to the lockstep fallback.
+    fn tear_down(&self) {
+        let orphans: Vec<Waiter> = {
+            let mut ws = self.waiters.lock().expect(POISONED);
+            ws.closed = true;
+            ws.by_key.drain().flat_map(|(_, q)| q).collect()
+        };
+        self.close();
+        for w in orphans {
+            w.fall_back();
+        }
+    }
+
+    /// Marks the connection dead and shuts its socket, which wakes the
+    /// reader into [`Pipe::tear_down`]. Never panics, so `Drop` can call it.
+    fn close(&self) {
+        self.dead.store(true, Ordering::SeqCst);
+        if let Ok(out) = self.out.lock() {
+            if let Some(s) = &out.sock {
+                let _ = s.shutdown(Shutdown::Both);
+            }
+        }
+    }
+
+    /// Hands one response to the oldest waiter on its key; a response
+    /// with no waiter is a stale duplicate and is dropped.
+    fn answer(&self, cid: String, rid: u64, mut body: String) {
+        let w = {
+            let mut ws = self.waiters.lock().expect(POISONED);
+            let key = (cid, rid);
+            let Some(q) = ws.by_key.get_mut(&key) else {
+                return;
+            };
+            let w = q.pop_front();
+            if q.is_empty() {
+                ws.by_key.remove(&key);
+            }
+            w
+        };
+        if let Some(w) = w {
+            body.push('\n');
+            (w.done)(Ok(body));
+        }
+    }
+
+    /// Whether any waiter is past its read deadline.
+    fn overdue(&self, now: Instant) -> bool {
+        self.waiters
+            .lock()
+            .expect(POISONED)
+            .by_key
+            .values()
+            .flatten()
+            .any(|w| w.deadline.is_some_and(|d| now >= d))
+    }
+
+    /// The connection's thread: connect and handshake, flush what queued
+    /// meanwhile, then read until a fault, and tear down. A failed
+    /// connect or handshake tears down at once: one attempt, because
+    /// the lockstep fallback owns the backoff schedule and the
+    /// detection of a v1-only peer.
+    fn run(&self, backend: Arc<TcpBackend>) {
+        let Some((sock, mut rx)) = Pipe::open(&backend.addr, backend.read_timeout) else {
+            drop(backend);
+            self.tear_down();
+            return;
+        };
+        backend.v2_ok.store(true, Ordering::Relaxed);
+        {
+            let mut out = self.out.lock().expect(POISONED);
+            // A teardown during the handshake had no socket to close.
+            if self.dead.load(Ordering::SeqCst) {
+                let _ = sock.shutdown(Shutdown::Both);
+                return;
+            }
+            out.sock = Some(sock);
+        }
+        self.flush(backend.counters());
+        // The reader must not keep its backend alive: dropping the
+        // backend is what closes an idle connection.
+        drop(backend);
+        let mut next_check = Instant::now() + PIPE_TICK;
+        loop {
+            match rx.recv_ready() {
+                Ok(Some(f)) => match f.ftype {
+                    FrameType::Response => self.answer(f.cid, f.rid, f.body),
+                    FrameType::HelloAck => {}
+                    FrameType::Error | FrameType::Hello | FrameType::Request => break,
+                },
+                Ok(None) => {}
+                Err(_) => break,
+            }
+            let now = Instant::now();
+            if now >= next_check {
+                next_check = now + PIPE_TICK;
+                if self.overdue(now) {
+                    break;
+                }
+            }
+        }
+        self.tear_down();
+    }
+
+    /// Connects and runs the v2 handshake. Frames travel uncompressed:
+    /// shards sit next to their router, where mlz would spend CPU on
+    /// both ends to save loopback bytes.
+    fn open(
+        addr: &str,
+        read_timeout: Option<Duration>,
+    ) -> Option<(TcpStream, proto2::ClientReceiver)> {
+        let stream = TcpStream::connect(addr).ok()?;
+        let sock = stream.try_clone().ok()?;
+        let want = proto2::Caps {
+            compress: false,
+            window: proto2::SERVER_WINDOW,
+        };
+        let Ok(proto2::Handshake::V2(c)) = proto2::Client::handshake(stream, read_timeout, &want)
+        else {
+            return None;
+        };
+        sock.set_read_timeout(Some(PIPE_TICK)).ok()?;
+        sock.set_write_timeout(read_timeout).ok()?;
+        Some((sock, c.split().1))
+    }
+}
+
+impl Drop for TcpBackend {
+    fn drop(&mut self) {
+        // Waiters keep their backend alive, so none is left here: this
+        // only stops an idle connection's reader.
+        if let Some(p) = self.pipe.get_mut().ok().and_then(Option::take) {
+            p.close();
+        }
+    }
 }
 
 impl Backend for TcpBackend {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn submit(self: Arc<Self>, line: String, client: String, done: Done) {
+        if !self.proto2 || self.peer_v1.load(Ordering::Relaxed) {
+            return call_on_thread(self, line, client, done);
+        }
+        let (cid, rid, body) = match proto::unwrap_envelope(&line) {
+            Envelope::Enveloped { cid, rid, body } => (cid, rid, body),
+            _ => (
+                String::new(),
+                self.anon_rid.fetch_add(1, Ordering::Relaxed),
+                line.trim_end().to_string(),
+            ),
+        };
+        let deadline = self.read_timeout.map(|t| Instant::now() + t);
+        let pipe = self.pipe();
+        let w = Waiter {
+            line,
+            client,
+            backend: Arc::clone(&self),
+            deadline,
+            done,
+        };
+        if let Err(w) = pipe.enqueue(cid, rid, &body, w) {
+            w.fall_back();
+        }
+    }
+
+    fn flush(&self) {
+        let pipe = self.pipe.lock().expect(POISONED).clone();
+        if let Some(p) = pipe {
+            p.flush(self.counters());
+        }
+    }
+
+    fn attach(&self, counters: &Arc<RouteCounters>) {
+        let _ = self.counters.set(Arc::clone(counters));
     }
 
     // `client` is trait-mandated; this transport only threads it through
@@ -689,5 +1040,90 @@ mod tests {
         let b = TcpBackend::new("b7", &addr, 1, 2);
         let err = b.call("{\"op\":\"ping\"}\n", "t").unwrap_err();
         assert!(err.contains("b7"), "error names the shard: {err}");
+    }
+
+    /// A v2 shard that answers every request at once, except requests
+    /// whose body says `hold`, which it never answers.
+    fn selective_v2_shard(stream: TcpStream) {
+        use std::io::{Read, Write};
+        let mut w = stream.try_clone().unwrap();
+        let mut r = stream;
+        let (mut acc, mut chunk) = (Vec::new(), [0u8; 4096]);
+        while let Ok(n @ 1..) = r.read(&mut chunk) {
+            acc.extend_from_slice(&chunk[..n]);
+            loop {
+                let skip = acc.iter().take_while(|b| **b == b'\n').count();
+                acc.drain(..skip);
+                let Ok((f, used)) = proto2::decode_frame(&acc) else {
+                    break;
+                };
+                acc.drain(..used);
+                let mut out = Vec::new();
+                match f.ftype {
+                    FrameType::Hello => {
+                        let caps = proto2::negotiate(&proto2::parse_hello(&f.body).unwrap());
+                        let ack = proto2::hello_body(&caps);
+                        proto2::encode_frame(&mut out, FrameType::HelloAck, "", 0, &ack, None);
+                    }
+                    FrameType::Request if !f.body.contains("hold") => {
+                        let body = "{\"id\":\"\",\"code\":200}";
+                        proto2::encode_frame(
+                            &mut out,
+                            FrameType::Response,
+                            &f.cid,
+                            f.rid,
+                            body,
+                            None,
+                        );
+                    }
+                    _ => {}
+                }
+                if w.write_all(&out).is_err() {
+                    return;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_silent_request_times_out_while_others_keep_answering() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::spawn(move || {
+            for s in listener.incoming().map_while(Result::ok) {
+                std::thread::spawn(move || selective_v2_shard(s));
+            }
+        });
+        let deadline = Duration::from_millis(150);
+        let b = Arc::new(
+            TcpBackend::new("b", &addr, 1, 1)
+                .with_wire(Some(deadline), 1)
+                .with_proto2(true),
+        );
+        let submit = |rid: u64, body: &str| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let line = proto::wrap_envelope("c", rid, body);
+            Arc::clone(&b).submit(line, "t".into(), Box::new(move |r| drop(tx.send(r))));
+            b.flush();
+            rx
+        };
+        let held = submit(0, "{\"op\":\"ping\",\"id\":\"hold\"}");
+        // The shared connection keeps answering other requests well past
+        // the held one's deadline...
+        let start = Instant::now();
+        let mut answered = 0;
+        while start.elapsed() < deadline * 3 {
+            answered += 1;
+            let rx = submit(answered, "{\"op\":\"ping\"}");
+            let r = rx.recv_timeout(Duration::from_secs(5)).expect("answered");
+            assert!(r.is_ok(), "{r:?}");
+        }
+        assert!(answered > 3, "traffic kept flowing: {answered}");
+        // ...yet the held request is bounded by its own deadline: the
+        // connection is torn down and its lockstep retry times out too.
+        let r = held
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the held request resolves");
+        assert!(r.unwrap_err().contains("timed out"));
     }
 }

@@ -21,10 +21,16 @@
 //!   next live ring successor — the same order every time, because the
 //!   ring is a pure function of names and the key.
 //! * **Request hedging.** If the primary has not answered within
-//!   `hedge_after`, the same idempotent compile is fired at the ring
-//!   successor; the first response wins and the loser's outcome is
-//!   discarded (its send lands on a dropped channel). Both halves are
-//!   accounted: `hedge_wins` and `hedge_losses`.
+//!   `hedge_after` of its dispatch, the same idempotent compile is fired
+//!   at the ring successor; the first response wins and the loser's
+//!   outcome is discarded (its send lands on a dropped channel). Both
+//!   halves are accounted: `hedge_wins` and `hedge_losses`.
+//! * **Pipelined dispatch.** Compiles are *submitted* to their backend,
+//!   never given a thread each. Over TCP they queue on one shared v2
+//!   connection per shard, and the wire loop's two-phase intake
+//!   ([`LineHandler::submit_wire`]) admits a client's whole read burst
+//!   before collecting any answer, so each burst reaches each shard as
+//!   one write.
 //! * **Hot-key replication.** A count-min sketch spots keys hot enough
 //!   to swamp one shard; their traffic rotates between the primary and
 //!   its first successor, warming both caches.
@@ -51,21 +57,21 @@ use mcc_serve::metrics::{merge_with_label, sanitize_label};
 use mcc_serve::proto::{
     self, frame_id, parse_request, CompileReq, Envelope, JoinReq, Request, Response,
 };
-use mcc_serve::tcp::LineHandler;
+use mcc_serve::tcp::{LineHandler, WireSubmission};
 
 pub mod backend;
 pub mod ring;
 pub mod sketch;
 
-pub use backend::{tag_backend, Backend, InProcBackend, TcpBackend};
+pub use backend::{tag_backend, Backend, Done, InProcBackend, TcpBackend};
 pub use ring::Ring;
 pub use sketch::Sketch;
 
 /// How often the drain loop re-checks the in-flight count.
 const DRAIN_TICK: Duration = Duration::from_millis(2);
 
-/// Connect retries for a backend created by a wire `join` frame.
-const JOIN_CONNECT_ATTEMPTS: u32 = 3;
+/// Connect retries for a backend reached over TCP.
+const CONNECT_ATTEMPTS: u32 = 4;
 
 /// Router tuning. Everything that affects *placement* (vnodes, seed) or
 /// *policy* (hedging, breakers, hot threshold) lives here, so a config
@@ -94,6 +100,17 @@ pub struct RouteConfig {
     /// Same-request-id retries per backend call (exactly-once thanks to
     /// the shard-side dedup window).
     pub call_retries: u32,
+}
+
+impl RouteConfig {
+    /// A TCP backend with this config's wire settings, speaking v2 with
+    /// pipelined submissions: what `mcc route` starts with and what a
+    /// wire `join` adds, so a rejoined shard keeps the fast path.
+    pub fn tcp_backend(&self, name: &str, addr: &str) -> TcpBackend {
+        TcpBackend::new(name, addr, self.seed, CONNECT_ATTEMPTS)
+            .with_wire(self.call_timeout, self.call_retries)
+            .with_proto2(true)
+    }
 }
 
 impl Default for RouteConfig {
@@ -150,6 +167,13 @@ pub struct RouteCounters {
     pub v2_connections: AtomicU64,
     /// Binary v2 frames decoded on the router's listener.
     pub v2_frames: AtomicU64,
+    /// Request frames sent on shared shard connections.
+    pub pipe_frames: AtomicU64,
+    /// Socket writes that carried them.
+    pub pipe_writes: AtomicU64,
+    /// Requests handed from a torn shared connection to the lockstep
+    /// fallback.
+    pub pipe_fallbacks: AtomicU64,
 }
 
 /// One backend's live state: the swappable transport, its breaker, and
@@ -218,7 +242,7 @@ pub struct Router {
     /// failure / probe), shared by requests and probes — deterministic,
     /// no wall time.
     tick: AtomicU64,
-    counters: RouteCounters,
+    counters: Arc<RouteCounters>,
     draining: AtomicBool,
     inflight: AtomicUsize,
     probe_stop: Arc<AtomicBool>,
@@ -237,6 +261,126 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
+/// One outcome of a fired call: the candidate-order index it went to.
+type Outcome = (usize, Result<String, String>);
+
+/// One routed compile between its dispatch and its answer: the candidate
+/// order, the forward frame every retry, failover and hedge reuses, and
+/// the channel every fired call reports on.
+struct Flight<'a> {
+    router: &'a Router,
+    _inflight: InflightGuard<'a>,
+    /// The client's request id, for structured `503`s.
+    id: String,
+    order: Vec<Arc<Slot>>,
+    /// The next candidate `fire` tries.
+    next: usize,
+    fwd: String,
+    client: String,
+    tx: mpsc::Sender<Outcome>,
+    rx: mpsc::Receiver<Outcome>,
+    /// When the primary was dispatched: the hedge timer counts from here.
+    dispatched: Instant,
+    /// Leave submissions for the caller's burst flush.
+    batched: bool,
+}
+
+impl Flight<'_> {
+    /// Walks the candidate order, asks each breaker at the moment of
+    /// dispatch (an admit that is never fired would strand a half-open
+    /// breaker), and submits to the first admitted. Outcomes carry the
+    /// order index, so the winner's slot is unambiguous.
+    fn fire(&mut self) -> Option<usize> {
+        while self.next < self.order.len() {
+            let oi = self.next;
+            self.next += 1;
+            let now = self.router.now();
+            if self.order[oi].breaker.lock().unwrap().admit(now) == Admit::Reject {
+                continue;
+            }
+            let backend = self.order[oi].transport();
+            let tx = self.tx.clone();
+            // A loser's send lands on a dropped receiver: that IS the
+            // cancelled accounting.
+            let done: Done = Box::new(move |r| {
+                let _ = tx.send((oi, r));
+            });
+            Arc::clone(&backend).submit(self.fwd.clone(), self.client.clone(), done);
+            if !self.batched {
+                backend.flush();
+            }
+            return Some(oi);
+        }
+        None
+    }
+
+    /// Waits for the answer: hedge if slow, fail over on transport
+    /// failure, feed every outcome to its breaker. Hedges and failovers
+    /// go on the wire at once.
+    fn finish(mut self) -> String {
+        self.batched = false;
+        let r = self.router;
+        let mut pending = 1usize;
+        let mut hedge_at: Option<usize> = None;
+        loop {
+            // Hedge window: only before any hedge has fired, and only
+            // while the primary is the sole pending call.
+            let msg = match r.cfg.hedge_after {
+                Some(after) if hedge_at.is_none() => {
+                    let left = (self.dispatched + after).saturating_duration_since(Instant::now());
+                    match self.rx.recv_timeout(left) {
+                        Ok(m) => m,
+                        Err(mpsc::RecvTimeoutError::Timeout) => {
+                            if let Some(oi) = self.fire() {
+                                r.counters.bump(&r.counters.hedges);
+                                hedge_at = Some(oi);
+                                pending += 1;
+                            } else {
+                                // Nothing to hedge to: wait out the primary.
+                                hedge_at = Some(usize::MAX);
+                            }
+                            continue;
+                        }
+                        Err(mpsc::RecvTimeoutError::Disconnected) => unreachable!(),
+                    }
+                }
+                // `tx` lives in this flight, so recv() can only return
+                // once a fired call reports — and pending > 0 here.
+                _ => self.rx.recv().expect("a fired call always reports"),
+            };
+            match msg {
+                (oi, Ok(resp)) => {
+                    let slot = &self.order[oi];
+                    slot.breaker.lock().unwrap().on_success();
+                    slot.served.fetch_add(1, Ordering::Relaxed);
+                    match hedge_at {
+                        Some(h) if h == oi => r.counters.bump(&r.counters.hedge_wins),
+                        Some(h) if h != usize::MAX => {
+                            r.counters.bump(&r.counters.hedge_losses);
+                        }
+                        _ => {}
+                    }
+                    return tag_backend(&resp, &slot.name);
+                }
+                (oi, Err(_)) => {
+                    let at = r.now();
+                    self.order[oi].breaker.lock().unwrap().on_failure(at);
+                    pending -= 1;
+                    if pending == 0 {
+                        if self.fire().is_some() {
+                            r.counters.bump(&r.counters.failovers);
+                            pending = 1;
+                        } else {
+                            r.counters.bump(&r.counters.no_backend);
+                            return Response::error(&self.id, 503, "all backends failed").to_line();
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 impl Router {
     /// A router over `backends` (ring order is by backend *name*, so
     /// every router given the same names agrees on placement).
@@ -247,16 +391,20 @@ impl Router {
     pub fn new(backends: Vec<Arc<dyn Backend>>, cfg: RouteConfig) -> Router {
         let names: Vec<String> = backends.iter().map(|b| b.name().to_string()).collect();
         let ring = Ring::new(&names, cfg.vnodes);
+        let counters = Arc::new(RouteCounters::default());
         let slots = backends
             .into_iter()
-            .map(|b| Arc::new(Slot::new(b, cfg.breaker)))
+            .map(|b| {
+                b.attach(&counters);
+                Arc::new(Slot::new(b, cfg.breaker))
+            })
             .collect();
         Router {
             sketch: Mutex::new(Sketch::new(1024, 4, cfg.seed)),
             cfg,
             membership: RwLock::new(Membership { slots, ring }),
             tick: AtomicU64::new(0),
-            counters: RouteCounters::default(),
+            counters,
             draining: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
             probe_stop: Arc::new(AtomicBool::new(false)),
@@ -370,6 +518,7 @@ impl Router {
         if name.is_empty() {
             return Err("join: empty backend name".to_string());
         }
+        backend.attach(&self.counters);
         let mut m = self.membership.write().unwrap();
         self.counters.bump(&self.counters.joins);
         if let Some(slot) = m.slots.iter().find(|s| s.name == name) {
@@ -493,8 +642,8 @@ impl Router {
         }
     }
 
-    /// Applies a wire `join`: the new member is reached over TCP with
-    /// the router's seeded reconnect backoff.
+    /// Applies a wire `join`: the new member is reached over TCP exactly
+    /// like a startup member ([`RouteConfig::tcp_backend`]).
     fn handle_join(&self, j: &JoinReq) -> String {
         if self.is_draining() {
             return Response::error(&j.id, 503, "router draining").to_line();
@@ -502,10 +651,7 @@ impl Router {
         if j.addr.is_empty() {
             return Response::error(&j.id, 400, "join: empty `addr`").to_line();
         }
-        let backend: Arc<dyn Backend> = Arc::new(
-            TcpBackend::new(&j.name, &j.addr, self.cfg.seed, JOIN_CONNECT_ATTEMPTS)
-                .with_wire(self.cfg.call_timeout, self.cfg.call_retries),
-        );
+        let backend: Arc<dyn Backend> = Arc::new(self.cfg.tcp_backend(&j.name, &j.addr));
         match self.join_backend(backend) {
             Ok(()) => {
                 let mut r = Response::new(&j.id, 200);
@@ -531,12 +677,30 @@ impl Router {
         req: &CompileReq,
         ident: Option<(&str, u64)>,
     ) -> String {
+        match self.dispatch(line, client, req, ident, false) {
+            Ok(flight) => flight.finish(),
+            Err(resp) => resp,
+        }
+    }
+
+    /// Dispatches one compile to the first admitted candidate and returns
+    /// it in flight, or the immediate answer (`503` while draining or
+    /// with no live backend). With `batched`, the submission waits for
+    /// the caller's burst flush ([`LineHandler::flush_submitted`]).
+    fn dispatch<'a>(
+        &'a self,
+        line: &str,
+        client: &str,
+        req: &CompileReq,
+        ident: Option<(&str, u64)>,
+        batched: bool,
+    ) -> Result<Flight<'a>, String> {
         if self.is_draining() {
             self.counters.bump(&self.counters.drain_rejects);
-            return Response::error(&req.id, 503, "router draining").to_line();
+            return Err(Response::error(&req.id, 503, "router draining").to_line());
         }
         self.inflight.fetch_add(1, Ordering::SeqCst);
-        let _guard = InflightGuard(&self.inflight);
+        let inflight = InflightGuard(&self.inflight);
         self.counters.bump(&self.counters.routed);
 
         let point = point_for(&req.machine, &req.lang, &req.src);
@@ -574,96 +738,25 @@ impl Router {
                 proto::wrap_envelope(&cid, rid, line.trim_end())
             }
         };
-
-        // fire(): walk the candidate order, ask each breaker at the
-        // moment of dispatch (an admit that is never fired would strand
-        // a half-open breaker), spawn the first admitted call. Sends
-        // carry the order index, so the winner's slot is unambiguous.
-        let (tx, rx) = mpsc::channel::<(usize, Result<String, String>)>();
-        let mut next = 0usize;
-        let fire = |from: &mut usize| -> Option<usize> {
-            while *from < order.len() {
-                let oi = *from;
-                *from += 1;
-                let now = self.now();
-                if order[oi].breaker.lock().unwrap().admit(now) == Admit::Reject {
-                    continue;
-                }
-                let backend = order[oi].transport();
-                let tx = tx.clone();
-                let line = fwd.clone();
-                let client = client.to_string();
-                std::thread::spawn(move || {
-                    // A loser's send lands on a dropped receiver: that
-                    // IS the cancelled accounting.
-                    let _ = tx.send((oi, backend.call(&line, &client)));
-                });
-                return Some(oi);
-            }
-            None
+        let (tx, rx) = mpsc::channel();
+        let mut flight = Flight {
+            router: self,
+            _inflight: inflight,
+            id: req.id.clone(),
+            order,
+            next: 0,
+            fwd,
+            client: client.to_string(),
+            tx,
+            rx,
+            dispatched: Instant::now(),
+            batched,
         };
-
-        if fire(&mut next).is_none() {
+        if flight.fire().is_none() {
             self.counters.bump(&self.counters.no_backend);
-            return Response::error(&req.id, 503, "no live backend").to_line();
+            return Err(Response::error(&req.id, 503, "no live backend").to_line());
         }
-        let mut pending = 1usize;
-        let mut hedge_at: Option<usize> = None;
-
-        loop {
-            // Hedge window: only before any hedge has fired, and only
-            // while the primary is the sole pending call.
-            let msg = match self.cfg.hedge_after {
-                Some(after) if hedge_at.is_none() => match rx.recv_timeout(after) {
-                    Ok(m) => m,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if let Some(oi) = fire(&mut next) {
-                            self.counters.bump(&self.counters.hedges);
-                            hedge_at = Some(oi);
-                            pending += 1;
-                        } else {
-                            // Nothing to hedge to: wait out the primary.
-                            hedge_at = Some(usize::MAX);
-                        }
-                        continue;
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => unreachable!(),
-                },
-                // `tx` lives in this scope, so recv() can only return
-                // once a fired call reports — and pending > 0 here.
-                _ => rx.recv().expect("a fired call always reports"),
-            };
-            match msg {
-                (oi, Ok(resp)) => {
-                    let slot = &order[oi];
-                    slot.breaker.lock().unwrap().on_success();
-                    slot.served.fetch_add(1, Ordering::Relaxed);
-                    match hedge_at {
-                        Some(h) if h == oi => self.counters.bump(&self.counters.hedge_wins),
-                        Some(h) if h != usize::MAX => {
-                            self.counters.bump(&self.counters.hedge_losses);
-                        }
-                        _ => {}
-                    }
-                    return tag_backend(&resp, &slot.name);
-                }
-                (oi, Err(_)) => {
-                    let at = self.now();
-                    order[oi].breaker.lock().unwrap().on_failure(at);
-                    pending -= 1;
-                    if pending == 0 {
-                        if fire(&mut next).is_some() {
-                            self.counters.bump(&self.counters.failovers);
-                            pending = 1;
-                        } else {
-                            self.counters.bump(&self.counters.no_backend);
-                            return Response::error(&req.id, 503, "all backends failed")
-                                .to_line();
-                        }
-                    }
-                }
-            }
-        }
+        Ok(flight)
     }
 
     /// Renders the router `stats` response: one JSON blob aggregating
@@ -786,6 +879,21 @@ impl Router {
                 "Requests rejected while draining.",
                 load(&c.drain_rejects),
             ),
+            (
+                "mcc_route_pipe_frames_total",
+                "Request frames sent on shared shard connections.",
+                load(&c.pipe_frames),
+            ),
+            (
+                "mcc_route_pipe_writes_total",
+                "Socket writes that carried shared-connection frames.",
+                load(&c.pipe_writes),
+            ),
+            (
+                "mcc_route_pipe_fallbacks_total",
+                "Requests handed from a torn shared connection to the lockstep fallback.",
+                load(&c.pipe_fallbacks),
+            ),
         ] {
             out.push_str(&format!(
                 "# HELP {name} {help}\n# TYPE {name} counter\n{name} {val}\n"
@@ -867,6 +975,48 @@ impl LineHandler for Router {
                 let resp = self.handle_ident(&format!("{body}\n"), client, Some((&cid, rid)));
                 proto::wrap_envelope(&cid, rid, &resp)
             }
+        }
+    }
+
+    /// Compiles are dispatched now and answered at collection; anything
+    /// else runs at collection, in arrival order, exactly as the
+    /// blocking path would. A drain stops admission at once, so a
+    /// compile behind it in the same burst gets the `503` it would get
+    /// serially, while the drain still waits out the compiles before it.
+    fn submit_wire(&self, line: &str, client: &str) -> WireSubmission<'_> {
+        let (body, ident) = match proto::unwrap_envelope(line) {
+            Envelope::Enveloped { cid, rid, body } => (format!("{body}\n"), Some((cid, rid))),
+            // Bare, or corrupt: `handle_wire` answers a corrupt one.
+            _ => (line.to_string(), None),
+        };
+        let wrap = |ident: Option<(String, u64)>, resp: String| match ident {
+            Some((cid, rid)) => proto::wrap_envelope(&cid, rid, &resp),
+            None => resp,
+        };
+        match parse_request(&body) {
+            Ok(Request::Compile(req)) => {
+                let id = ident.as_ref().map(|(cid, rid)| (cid.as_str(), *rid));
+                match self.dispatch(&body, client, &req, id, true) {
+                    Ok(flight) => {
+                        WireSubmission::Pending(Box::new(move || wrap(ident, flight.finish())))
+                    }
+                    Err(resp) => WireSubmission::Done(wrap(ident, resp)),
+                }
+            }
+            parsed => {
+                if matches!(parsed, Ok(Request::Drain)) {
+                    self.draining.store(true, Ordering::SeqCst);
+                }
+                let (line, client) = (line.to_string(), client.to_string());
+                WireSubmission::Pending(Box::new(move || self.handle_wire(&line, &client)))
+            }
+        }
+    }
+
+    fn flush_submitted(&self) {
+        let m = self.membership.read().expect("a membership writer panicked");
+        for s in &m.slots {
+            s.transport().flush();
         }
     }
 

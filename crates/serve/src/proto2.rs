@@ -758,7 +758,10 @@ impl Client {
     /// halves, so a pipelined caller can pace requests from one thread
     /// while another drains responses as they arrive — without a
     /// full-window stall serializing the two directions.
-    pub fn split(self) -> (ClientSender, ClientReceiver) {
+    pub fn split(mut self) -> (ClientSender, ClientReceiver) {
+        // The encode buffer still holds the last frame sent; the send
+        // half's `queue` appends, so it must start empty.
+        self.ebuf.clear();
         (
             ClientSender { w: self.w, ebuf: self.ebuf, caps: self.caps },
             ClientReceiver { r: self.r, acc: self.acc },

@@ -1,6 +1,8 @@
 //! The TCP front end: newline-delimited JSON over `TcpListener`, one
-//! thread per connection, the accept loop polling a stop flag so a
-//! signal (or a `drain` frame) can end the daemon gracefully.
+//! thread per connection. The accept loop waits for a connection with a
+//! `poll(2)` bounded by one tick, so a new connection is accepted at
+//! once and a stop flag set by a signal (or a `drain` frame) still ends
+//! the daemon within a tick.
 //!
 //! The loop is generic over a [`LineHandler`] so the compile daemon
 //! (`mcc serve`) and the shard router (`mcc route`) share one accept
@@ -33,6 +35,45 @@ use crate::Server;
 /// How often the accept loop polls the stop flag.
 const ACCEPT_TICK: Duration = Duration::from_millis(25);
 
+/// Blocks until `listener` has a connection to accept, or `tick` passes,
+/// or a signal interrupts the wait — whichever comes first. The caller
+/// keeps the listener non-blocking and simply tries `accept` again.
+pub fn wait_for_connection(listener: &TcpListener, tick: Duration) {
+    #[cfg(target_os = "linux")]
+    {
+        use std::ffi::{c_int, c_short, c_ulong};
+        use std::os::fd::AsRawFd;
+
+        #[repr(C)]
+        struct PollFd {
+            fd: c_int,
+            events: c_short,
+            revents: c_short,
+        }
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+        }
+        const POLLIN: c_short = 1;
+        let mut pfd = PollFd {
+            fd: listener.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        };
+        let ms = c_int::try_from(tick.as_millis()).unwrap_or(c_int::MAX);
+        // SAFETY: one valid pollfd for the duration of the call, on a
+        // descriptor `listener` keeps open. Errors (EINTR included) just
+        // end the wait early; the caller's accept reports anything real.
+        unsafe {
+            poll(&mut pfd, 1, ms);
+        }
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = listener;
+        std::thread::sleep(tick);
+    }
+}
+
 /// One endpoint of the newline-delimited protocol: turns a request line
 /// into a newline-terminated response line. Implemented by the compile
 /// daemon ([`Server`]) and by the router (`mcc_route::Router`).
@@ -42,13 +83,18 @@ pub trait LineHandler: Send + Sync + 'static {
 
     /// Two-phase intake for pipelined peers: a handler that can
     /// separate admission from completion returns `Pending`, letting
-    /// the wire loop put a whole burst of frames into the work queue
-    /// before collecting any outcome — the workers chew the backlog in
-    /// one scheduling quantum instead of round-tripping per request.
-    /// The default is the blocking round trip.
-    fn submit_wire(&self, line: &str, client: &str) -> WireSubmission {
+    /// the wire loop admit a whole burst of frames before collecting any
+    /// outcome — the workers chew the backlog in one scheduling quantum
+    /// instead of round-tripping per request. Outcomes are collected in
+    /// arrival order. The default is the blocking round trip.
+    fn submit_wire(&self, line: &str, client: &str) -> WireSubmission<'_> {
         WireSubmission::Done(self.handle_wire(line, client))
     }
+
+    /// Called once a read burst is admitted, before any of its outcomes
+    /// is collected: a handler that holds back what `submit_wire`
+    /// dispatched puts it on the wire here.
+    fn flush_submitted(&self) {}
 
     /// Called when the idle reaper closes a connection.
     fn on_idle_reap(&self) {}
@@ -75,11 +121,11 @@ pub trait LineHandler: Send + Sync + 'static {
 }
 
 /// The result of [`LineHandler::submit_wire`].
-pub enum WireSubmission {
+pub enum WireSubmission<'a> {
     /// Resolved immediately; the line is newline-terminated.
     Done(String),
-    /// Admitted; the single response arrives on this channel.
-    Pending(std::sync::mpsc::Receiver<Response>),
+    /// Admitted; calling this waits for the newline-terminated answer.
+    Pending(Box<dyn FnOnce() -> String + 'a>),
 }
 
 impl LineHandler for Server {
@@ -87,7 +133,7 @@ impl LineHandler for Server {
         self.handle_frame(line, client)
     }
 
-    fn submit_wire(&self, line: &str, client: &str) -> WireSubmission {
+    fn submit_wire(&self, line: &str, client: &str) -> WireSubmission<'_> {
         // Only a bare frame can split admission from completion; an
         // enveloped frame owes the idempotency layer a resolution,
         // which the blocking path provides.
@@ -96,7 +142,13 @@ impl LineHandler for Server {
         }
         match catch_unwind(AssertUnwindSafe(|| self.submit_line(line, client))) {
             Ok(crate::Submitted::Done(r)) => WireSubmission::Done(r.to_line()),
-            Ok(crate::Submitted::Pending(rx)) => WireSubmission::Pending(rx),
+            // The supervisor guarantees exactly one send per admitted
+            // request; mirror `handle_line`'s fallback anyway.
+            Ok(crate::Submitted::Pending(rx)) => WireSubmission::Pending(Box::new(move || {
+                rx.recv()
+                    .unwrap_or_else(|_| Response::error("", 500, "response channel lost"))
+                    .to_line()
+            })),
             Err(p) => WireSubmission::Done(
                 Response::error(
                     &crate::proto::frame_id(line),
@@ -323,7 +375,7 @@ pub fn serve_lines(
                 });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_TICK);
+                wait_for_connection(&listener, ACCEPT_TICK);
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
@@ -711,13 +763,30 @@ fn v2_connection_inline(
     writer.set_write_timeout(handler.idle_timeout()).ok();
 
     /// One frame owed to the peer, in arrival order: either already
-    /// resolved, or an admitted compile whose outcome the supervisor
-    /// still owes. Deferring the collection until the whole read burst
-    /// is admitted is the inline path's pipelining: the worker pool
-    /// drains the burst's backlog without a per-request round trip.
-    enum Out {
-        Ready { ftype: FrameType, cid: String, rid: u64, body: String },
-        Rx { rid: u64, rx: std::sync::mpsc::Receiver<Response> },
+    /// resolved, or an admitted request whose outcome the handler still
+    /// owes. Deferring the collection until the whole read burst is
+    /// admitted is the inline path's pipelining: the handler works the
+    /// burst's backlog without a per-request round trip.
+    enum Out<'a> {
+        Ready {
+            ftype: FrameType,
+            cid: String,
+            rid: u64,
+            body: String,
+        },
+        Pending {
+            cid: String,
+            rid: u64,
+            answer: Box<dyn FnOnce() -> String + 'a>,
+        },
+    }
+    /// A response frame's body: the handler's line, unwrapped if it
+    /// answered an enveloped request.
+    fn response_body(resp: &str) -> String {
+        match crate::proto::unwrap_envelope(resp) {
+            crate::proto::Envelope::Enveloped { body, .. } => body,
+            _ => resp.trim_end_matches('\n').to_string(),
+        }
     }
 
     let mut caps = Caps { compress: false, window: proto2::DEFAULT_WINDOW };
@@ -799,35 +868,23 @@ fn v2_connection_inline(
                     ) {
                         stop.store(true, Ordering::SeqCst);
                     }
-                    if frame.cid.is_empty() {
-                        match handler.submit_wire(&format!("{}\n", frame.body), client) {
-                            WireSubmission::Done(resp) => outs.push(Out::Ready {
-                                ftype: FrameType::Response,
-                                cid: String::new(),
-                                rid: frame.rid,
-                                body: resp.trim_end_matches('\n').to_string(),
-                            }),
-                            WireSubmission::Pending(rx) => {
-                                outs.push(Out::Rx { rid: frame.rid, rx });
-                            }
-                        }
+                    // A frame with a cid rides the envelope, and so the
+                    // handler's idempotency layer.
+                    let line = if frame.cid.is_empty() {
+                        format!("{}\n", frame.body)
                     } else {
-                        // An enveloped frame resolves through the
-                        // idempotency layer, which is a blocking path.
-                        let line =
-                            crate::proto::wrap_envelope(&frame.cid, frame.rid, &frame.body);
-                        let resp = handler.handle_wire(&line, client);
-                        let out = match crate::proto::unwrap_envelope(&resp) {
-                            crate::proto::Envelope::Enveloped { body, .. } => body,
-                            _ => resp.trim_end_matches('\n').to_string(),
-                        };
-                        outs.push(Out::Ready {
+                        crate::proto::wrap_envelope(&frame.cid, frame.rid, &frame.body)
+                    };
+                    let (cid, rid) = (frame.cid, frame.rid);
+                    outs.push(match handler.submit_wire(&line, client) {
+                        WireSubmission::Done(resp) => Out::Ready {
                             ftype: FrameType::Response,
-                            cid: frame.cid,
-                            rid: frame.rid,
-                            body: out,
-                        });
-                    }
+                            cid,
+                            rid,
+                            body: response_body(&resp),
+                        },
+                        WireSubmission::Pending(answer) => Out::Pending { cid, rid, answer },
+                    });
                 }
                 // A client has no business sending these; close loudly.
                 FrameType::HelloAck | FrameType::Response | FrameType::Error => {
@@ -844,24 +901,22 @@ fn v2_connection_inline(
                 }
             }
         }
-        // The whole burst is admitted; now collect outcomes in arrival
-        // order and answer with one write burst per read burst.
+        // The whole burst is admitted; let the handler put what it held
+        // back on the wire, then collect outcomes in arrival order and
+        // answer with one write burst per read burst.
+        handler.flush_submitted();
         for out in outs.drain(..) {
             match out {
                 Out::Ready { ftype, cid, rid, body } => {
                     push(ftype, &cid, rid, &body, &mut seg, &mut scratch, &caps);
                 }
-                Out::Rx { rid, rx } => {
-                    // The supervisor guarantees exactly one send per
-                    // admitted request; mirror `handle_line`'s fallback.
-                    let r = rx
-                        .recv()
-                        .unwrap_or_else(|_| Response::error("", 500, "response channel lost"));
+                Out::Pending { cid, rid, answer } => {
+                    let body = response_body(&answer());
                     push(
                         FrameType::Response,
-                        "",
+                        &cid,
                         rid,
-                        r.to_line().trim_end(),
+                        &body,
                         &mut seg,
                         &mut scratch,
                         &caps,
@@ -956,6 +1011,27 @@ mod tests {
             }
             Ok(())
         }
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_pending_connection_ends_the_accept_wait_at_once() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let t0 = std::time::Instant::now();
+        wait_for_connection(&listener, Duration::from_millis(40));
+        assert!(
+            t0.elapsed() >= Duration::from_millis(30),
+            "an idle wait lasts its tick"
+        );
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let t0 = std::time::Instant::now();
+        wait_for_connection(&listener, Duration::from_secs(10));
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "the connection woke the wait"
+        );
+        assert!(listener.accept().is_ok(), "and it is there to accept");
     }
 
     #[test]

@@ -827,10 +827,7 @@ fn route_command(args: &Args) -> Result<(), String> {
                 Some((n, a)) => (n.to_string(), a),
                 None => (format!("b{i}"), spec.as_str()),
             };
-            Arc::new(
-                mcc::route::TcpBackend::new(&name, addr, seed, 4)
-                    .with_wire(cfg.call_timeout, cfg.call_retries),
-            ) as Arc<dyn mcc::route::Backend>
+            Arc::new(cfg.tcp_backend(&name, addr)) as Arc<dyn mcc::route::Backend>
         })
         .collect();
     let n = backends.len();
