@@ -28,9 +28,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use mcc_harness::backoff::{self, BackoffConfig};
-use mcc_serve::proto::{self, Envelope, Response, MAX_FRAME_BYTES};
+use mcc_serve::proto::{self, Envelope, Ident, MAX_FRAME_BYTES};
 use mcc_serve::proto2::{self, FrameType};
-use mcc_serve::tcp::{read_frame_into, write_frame, FrameRead};
+use mcc_serve::tcp::{read_frame_into, write_frame, FrameRead, WireSubmission};
 use mcc_serve::Server;
 
 use crate::RouteCounters;
@@ -43,16 +43,15 @@ pub trait Backend: Send + Sync + 'static {
     /// The shard's stable name (ring placement hashes this).
     fn name(&self) -> &str;
 
-    /// One request line in, one response line out. `Err` is a transport
-    /// failure and trips the breaker; structured errors are `Ok`.
+    /// One request line in, one response line out: the blocking call
+    /// probes, fan-outs and drains use. `Err` is a transport failure and
+    /// trips the breaker; structured errors are `Ok`.
     fn call(&self, line: &str, client: &str) -> Result<String, String>;
 
-    /// Starts one call and returns at once; the outcome goes to `done`.
-    /// The default runs [`Backend::call`] on a thread of its own, which
-    /// is all a transport that can only block can do.
-    fn submit(self: Arc<Self>, line: String, client: String, done: Done) {
-        call_on_thread(self, line, client, done);
-    }
+    /// Starts one forward and returns at once; the outcome goes to
+    /// `done`. `ident` reaches the shard's dedup window, so every retry,
+    /// failover and hedge of one request executes it at most once.
+    fn submit(self: Arc<Self>, line: String, ident: Ident, done: Done);
 
     /// Puts every submitted request still held back on the wire. A
     /// transport that batches submissions holds them until this call.
@@ -61,12 +60,6 @@ pub trait Backend: Send + Sync + 'static {
     /// Hands the transport its router's counters, for the counts only
     /// the transport sees. Called whenever the backend joins a router.
     fn attach(&self, _counters: &Arc<RouteCounters>) {}
-}
-
-/// [`Backend::submit`] for a transport that can only block: the call
-/// runs on a new thread.
-fn call_on_thread<B: Backend + ?Sized>(b: Arc<B>, line: String, client: String, done: Done) {
-    std::thread::spawn(move || done(b.call(&line, &client)));
 }
 
 /// An in-process shard: calls straight into a [`Server`], with a kill
@@ -101,6 +94,13 @@ impl InProcBackend {
     pub fn server(&self) -> &Arc<Server> {
         &self.server
     }
+
+    fn alive(&self) -> Result<(), String> {
+        if self.dead.load(Ordering::SeqCst) {
+            return Err(format!("{}: connection refused (killed)", self.name));
+        }
+        Ok(())
+    }
 }
 
 impl Backend for InProcBackend {
@@ -109,37 +109,42 @@ impl Backend for InProcBackend {
     }
 
     fn call(&self, line: &str, client: &str) -> Result<String, String> {
-        if self.dead.load(Ordering::SeqCst) {
-            return Err(format!("{}: connection refused (killed)", self.name));
+        self.alive()?;
+        Ok(self.server.handle_line(line, client).to_line())
+    }
+
+    /// Through the server's identity intake, so a forward gets the same
+    /// dedup/replay semantics a TCP shard would apply. An admitted
+    /// request is collected on a thread of its own.
+    fn submit(self: Arc<Self>, line: String, ident: Ident, done: Done) {
+        if let Err(e) = self.alive() {
+            return done(Err(e));
         }
-        // Through the frame path, so enveloped requests get the same
-        // dedup/replay semantics a TCP shard would apply; the envelope is
-        // stripped because backends return bare bodies (the router wraps
-        // its own client's response itself).
-        let resp = self.server.handle_frame(line, client);
-        Ok(match proto::unwrap_envelope(&resp) {
-            Envelope::Enveloped { body, .. } => format!("{body}\n"),
-            _ => resp,
-        })
+        match self.server.submit_frame(&line, Some(ident), "") {
+            WireSubmission::Done(resp) => done(Ok(resp)),
+            WireSubmission::Pending(resp) => {
+                std::thread::spawn(move || done(Ok(resp())));
+            }
+        }
     }
 }
 
 /// A remote shard over TCP, with a small connection pool, deterministic
 /// reconnect backoff, a read deadline on every round trip, and
-/// exactly-once retries for enveloped requests.
+/// exactly-once retries for requests with an identity.
 ///
 /// Retry safety: a pooled-connection failure *after the write completed*
 /// is indistinguishable from a failure before the server executed — so a
-/// blind re-send could double-execute. For enveloped requests the retry
-/// re-sends the **same frame** (same `request_id`): the server's
-/// idempotency window replays the recorded response instead of executing
-/// again, which is what makes the reconnect path safe.
+/// blind re-send could double-execute. A request with an identity is
+/// retried with the **same** `(cid, rid)`: the server's idempotency
+/// window replays the recorded response instead of executing again,
+/// which is what makes the reconnect path safe.
 ///
 /// With v2 on, [`Backend::submit`] pipelines over one shared connection
 /// (see [`Pipe`]): no thread per request, and a burst flushed as one
 /// write. A fault on that connection hands each request still waiting
-/// on it to [`TcpBackend::call`] on its own, with its full retry budget
-/// and the same `(cid, rid)`.
+/// on it to the lockstep v2 call on its own, with its full retry budget
+/// and the same identity.
 pub struct TcpBackend {
     name: String,
     addr: String,
@@ -152,28 +157,14 @@ pub struct TcpBackend {
     /// feeding the breaker instead of hanging a router worker.
     read_timeout: Option<Duration>,
     /// Fresh-connection attempts after a failed round trip (each re-sends
-    /// the same frame; the dedup window makes that exactly-once).
+    /// the same identity; the dedup window makes that exactly-once).
     call_retries: u32,
-    /// Version negotiation: set when the peer rejected an envelope as
-    /// bare JSON — subsequent requests are sent unwrapped.
-    peer_bare: AtomicBool,
-    /// Guard against corruption-driven downgrades: once any enveloped
-    /// exchange succeeded, a later bare 400 can't flip `peer_bare`.
-    envelope_ok: AtomicBool,
-    /// Speak binary protocol v2 first (fall back to v1 on handshake
-    /// evidence that the peer only does lines).
+    /// Speak binary protocol v2 (otherwise newline-delimited lines).
     proto2: bool,
-    /// Sticky v2→v1 downgrade: the peer answered the v2 hello with v1's
-    /// bare 400.
-    peer_v1: AtomicBool,
-    /// Guard against corruption-driven v2 downgrades, mirroring
-    /// `envelope_ok`: once any v2 exchange succeeded, a later bare
-    /// answer can't flip `peer_v1`.
-    v2_ok: AtomicBool,
     /// Pooled negotiated v2 connections (their internal buffers are the
     /// reusable read/write state).
     v2_pool: Mutex<Vec<proto2::Client>>,
-    /// rid source for bare (unenveloped) requests sent over v2 — only
+    /// rid source for requests without an identity sent over v2 — only
     /// used to match responses on the connection, never for dedup.
     anon_rid: AtomicU64,
     /// The shared pipelined v2 connection, replaced when it dies.
@@ -182,28 +173,12 @@ pub struct TcpBackend {
     counters: OnceLock<Arc<RouteCounters>>,
 }
 
-/// One pooled v1 connection: the buffered reader survives across round
-/// trips (writes go through [`BufReader::get_mut`]) and `buf` is the
-/// reusable frame buffer — no per-call `BufReader` or `Vec` churn.
+/// One pooled line connection: the buffered reader survives across
+/// round trips (writes go through [`BufReader::get_mut`]) and `buf` is
+/// the reusable frame buffer — no per-call `BufReader` or `Vec` churn.
 struct Conn {
     r: BufReader<TcpStream>,
     buf: Vec<u8>,
-}
-
-/// One validated round-trip result.
-enum Wire {
-    /// The matching response body (bare, newline-terminated).
-    Ok(String),
-    /// The peer answered an enveloped request with a bare
-    /// `400 malformed frame` — it predates the envelope.
-    BarePeer,
-}
-
-/// One connection attempt's outcome inside [`TcpBackend::call`].
-enum Attempt {
-    Done(String),
-    BareRenegotiate,
-    Fail(String),
 }
 
 impl TcpBackend {
@@ -221,11 +196,7 @@ impl TcpBackend {
             connect_attempts: connect_attempts.max(1),
             read_timeout: Some(Duration::from_millis(10_000)),
             call_retries: 1,
-            peer_bare: AtomicBool::new(false),
-            envelope_ok: AtomicBool::new(false),
             proto2: false,
-            peer_v1: AtomicBool::new(false),
-            v2_ok: AtomicBool::new(false),
             v2_pool: Mutex::new(Vec::new()),
             anon_rid: AtomicU64::new(1),
             pipe: Mutex::new(None),
@@ -242,10 +213,9 @@ impl TcpBackend {
     }
 
     /// Opts this backend into binary protocol v2, and submitted requests
-    /// into the shared pipelined connection. The first connection runs
-    /// the hello handshake; a peer that answers with v1's bare 400
-    /// downgrades the backend to lines, stickily, exactly like the
-    /// envelope negotiation one layer down.
+    /// into the shared pipelined connection. Every connection runs the
+    /// hello handshake; a peer that answers it as a line server is a
+    /// transport failure.
     pub fn with_proto2(mut self, on: bool) -> TcpBackend {
         self.proto2 = on;
         self
@@ -276,19 +246,20 @@ impl TcpBackend {
         Err(format!("{}: connect {} failed: {last}", self.name, self.addr))
     }
 
-    /// One request/response round trip on an established connection, with
-    /// the read deadline applied and capped frame reads. For enveloped
-    /// requests (`ident` set) the read loop validates the response: frames
-    /// with the wrong identity are stale duplicates from an earlier
-    /// request on this pooled connection and are discarded, corrupt
-    /// envelopes are transport failures (never accepted — the retry, not
-    /// the corruption, wins), and the matching frame is unwrapped.
+    /// One request/response round trip on an established line
+    /// connection, with the read deadline applied and capped frame
+    /// reads. For an enveloped request (`ident` set) the read loop
+    /// validates the response: a frame with another identity, or none,
+    /// is a stale duplicate from an earlier request on this pooled
+    /// connection and is discarded; a corrupt envelope is a transport
+    /// failure (never accepted — the retry, not the corruption, wins);
+    /// the matching frame is unwrapped.
     fn round_trip(
         &self,
         conn: &mut Conn,
         frame: &str,
-        ident: Option<&(String, u64)>,
-    ) -> Result<Wire, String> {
+        ident: Option<&Ident>,
+    ) -> Result<String, String> {
         conn.r
             .get_ref()
             .set_read_timeout(self.read_timeout)
@@ -313,120 +284,87 @@ impl TcpBackend {
                 }
                 FrameRead::Oversized => return Err("oversized response frame".to_string()),
             };
-            let Some((cid, rid)) = ident else {
-                return Ok(Wire::Ok(resp));
+            let Some(ident) = ident else {
+                return Ok(resp);
             };
             match proto::unwrap_envelope(&resp) {
-                Envelope::Enveloped { cid: rcid, rid: rrid, body } => {
-                    if rcid == *cid && rrid == *rid {
-                        return Ok(Wire::Ok(format!("{body}\n")));
-                    }
-                    // Stale duplicate delivery: discard, keep reading.
+                Envelope::Enveloped { cid, rid, body } if cid == ident.cid && rid == ident.rid => {
+                    return Ok(format!("{body}\n"));
                 }
                 Envelope::Corrupt(reason) => {
                     return Err(format!("corrupt response frame: {reason}"));
                 }
-                Envelope::Bare => {
-                    if Response::field_num(&resp, "code") == Some(400)
-                        && resp.contains("not a flat JSON object")
-                    {
-                        // The peer parsed our envelope as garbage JSON:
-                        // it predates the extension.
-                        return Ok(Wire::BarePeer);
-                    }
-                    // A stray bare frame on an enveloped exchange:
-                    // stale — discard, keep reading.
-                }
+                // Stale duplicate delivery: discard, keep reading.
+                _ => {}
             }
         }
     }
 
-    /// One attempt over one connection: round trip, pool the connection
-    /// back on success, and remember that the peer speaks the envelope.
-    fn attempt(&self, mut conn: Conn, frame: &str, ident: Option<&(String, u64)>) -> Attempt {
-        match self.round_trip(&mut conn, frame, ident) {
-            Ok(Wire::Ok(resp)) => {
-                if ident.is_some() {
-                    self.envelope_ok.store(true, Ordering::Relaxed);
-                }
-                mcc_serve::buf::shrink_reusable(&mut conn.buf);
-                self.pool.lock().unwrap().push(conn);
-                Attempt::Done(resp)
+    /// The line call path: a pooled connection first, then up to
+    /// `call_retries` fresh ones, each re-sending the same frame — same
+    /// identity — so a failure after the server executed replays, not
+    /// re-runs. A stale pooled connection (shard restarted, idle reaper
+    /// closed it) falls through to a fresh connect, so one dead pooled
+    /// socket never fails the request.
+    fn call_v1(&self, frame: &str, ident: Option<&Ident>) -> Result<String, String> {
+        let attempt = |mut c: Conn| {
+            let resp = self.round_trip(&mut c, frame, ident)?;
+            mcc_serve::buf::shrink_reusable(&mut c.buf);
+            self.pool.lock().unwrap().push(c);
+            Ok::<_, String>(resp)
+        };
+        let mut last = String::new();
+        // The pop is bound outside the `if let` — an `if let` on the
+        // lock result would hold the guard through the body
+        // (edition-2021 scrutinee lifetime) and deadlock against the
+        // push inside `attempt`.
+        let pooled = self.pool.lock().unwrap().pop();
+        if let Some(c) = pooled {
+            match attempt(c) {
+                Ok(resp) => return Ok(resp),
+                Err(e) => last = e,
             }
-            Ok(Wire::BarePeer) => {
-                self.pool.lock().unwrap().push(conn);
-                Attempt::BareRenegotiate
-            }
-            Err(e) => Attempt::Fail(e),
         }
+        for _ in 0..self.call_retries {
+            match attempt(Conn { r: BufReader::new(self.connect()?), buf: Vec::new() }) {
+                Ok(resp) => return Ok(resp),
+                Err(e) => last = e,
+            }
+        }
+        Err(format!("{}: {last}", self.name))
     }
 
-    /// One v2 attempt over one negotiated client connection.
-    fn attempt_v2(
-        &self,
-        mut c: proto2::Client,
-        cid: &str,
-        rid: u64,
-        body: &str,
-    ) -> Attempt {
-        match c.call(cid, rid, body) {
-            Ok(resp) => {
-                self.v2_ok.store(true, Ordering::Relaxed);
-                self.v2_pool.lock().unwrap().push(c);
-                Attempt::Done(resp)
-            }
-            // Any failure drops the connection; the caller retries on a
-            // fresh one with the SAME (cid, rid), so the shard's dedup
-            // window keeps the retry exactly-once.
-            Err(e) => Attempt::Fail(e),
-        }
-    }
-
-    /// The v2 call path: pooled negotiated connection first, then fresh
-    /// handshakes. Returns `BareRenegotiate` only on strict downgrade
-    /// evidence (the peer answered the hello with v1's bare 400) — a
-    /// timeout or corrupt stream is a transport failure, never a
-    /// downgrade, so chaos cannot flip a healthy v2 peer to v1.
-    fn call_v2(&self, line: &str) -> Attempt {
-        let (cid, rid, body) = match proto::unwrap_envelope(line) {
-            Envelope::Enveloped { cid, rid, body } => (cid, rid, body),
-            _ => (
-                String::new(),
-                self.anon_rid.fetch_add(1, Ordering::Relaxed),
-                line.trim_end().to_string(),
-            ),
+    /// The lockstep v2 call path, with [`TcpBackend::call_v1`]'s retry
+    /// schedule over negotiated connections: every attempt re-sends the
+    /// same `(cid, rid)` (an empty `cid` carries no identity), and a
+    /// hello answered by a line server fails its attempt like any other
+    /// transport fault.
+    fn call_v2(&self, cid: &str, rid: u64, body: &str) -> Result<String, String> {
+        let attempt = |mut c: proto2::Client| {
+            let resp = c.call(cid, rid, body)?;
+            self.v2_pool.lock().unwrap().push(c);
+            Ok::<_, String>(resp)
         };
         let mut last = String::new();
         let pooled = self.v2_pool.lock().unwrap().pop();
         if let Some(c) = pooled {
-            match self.attempt_v2(c, &cid, rid, &body) {
-                Attempt::Done(resp) => return Attempt::Done(resp),
-                Attempt::Fail(e) => last = e,
-                Attempt::BareRenegotiate => unreachable!("attempt_v2 never renegotiates"),
-            }
-        }
-        for _ in 0..self.call_retries {
-            let s = match self.connect() {
-                Ok(s) => s,
-                Err(e) => return Attempt::Fail(e),
-            };
-            let want = proto2::Caps { compress: true, window: 8 };
-            match proto2::Client::handshake(s, self.read_timeout, &want) {
-                Ok(proto2::Handshake::V2(c)) => match self.attempt_v2(c, &cid, rid, &body) {
-                    Attempt::Done(resp) => return Attempt::Done(resp),
-                    Attempt::Fail(e) => last = e,
-                    Attempt::BareRenegotiate => unreachable!("attempt_v2 never renegotiates"),
-                },
-                Ok(proto2::Handshake::V1Peer) => {
-                    if !self.v2_ok.load(Ordering::Relaxed) {
-                        return Attempt::BareRenegotiate;
-                    }
-                    last = "v2 hello answered bare by a v2-capable peer".to_string();
-                }
+            match attempt(c) {
+                Ok(resp) => return Ok(resp),
                 Err(e) => last = e,
             }
         }
-        Attempt::Fail(format!("{}: {last}", self.name))
+        for _ in 0..self.call_retries {
+            let want = proto2::Caps { compress: true, window: 8 };
+            last = match proto2::Client::handshake(self.connect()?, self.read_timeout, &want) {
+                Ok(proto2::Handshake::V2(c)) => match attempt(c) {
+                    Ok(resp) => return Ok(resp),
+                    Err(e) => e,
+                },
+                Ok(proto2::Handshake::V1Peer) => "v2 hello answered by a line server".to_string(),
+                Err(e) => e,
+            };
+        }
+        Err(format!("{}: {last}", self.name))
     }
 
     /// The live shared connection, or a new one whose thread connects,
@@ -451,9 +389,10 @@ impl TcpBackend {
 
 /// One request on a shared connection, awaiting its response.
 struct Waiter {
-    /// The forwarded line, kept for the lockstep fallback.
+    /// The forwarded body and its identity, kept for the lockstep
+    /// fallback.
     line: String,
-    client: String,
+    ident: Ident,
     /// The transport the fallback calls (and the counters it bumps).
     backend: Arc<TcpBackend>,
     /// The read deadline, enforced by the connection's reader.
@@ -462,25 +401,25 @@ struct Waiter {
 }
 
 impl Waiter {
-    /// Retries this request on its own through the lockstep
-    /// [`TcpBackend::call`]: same `(cid, rid)`, so the shard's dedup
-    /// window keeps it exactly-once, and the full retry budget, so
-    /// another request's fault never spends it.
+    /// Retries this request on its own through the lockstep v2 call:
+    /// same identity, so the shard's dedup window keeps it exactly-once,
+    /// and the full retry budget, so another request's fault never
+    /// spends it.
     fn fall_back(self) {
         if let Some(c) = self.backend.counters() {
             c.bump(&c.pipe_fallbacks);
         }
         std::thread::spawn(move || {
-            let r = self.backend.call(&self.line, &self.client);
-            (self.done)(r);
+            let Waiter { line, ident, backend, done, .. } = self;
+            done(backend.call_v2(&ident.cid, ident.rid, &line));
         });
     }
 }
 
-/// Waiters by `(cid, rid)`; a duplicate key queues behind the first.
+/// Waiters by identity; a duplicate key queues behind the first.
 #[derive(Default)]
 struct Waiters {
-    by_key: HashMap<(String, u64), VecDeque<Waiter>>,
+    by_key: HashMap<Ident, VecDeque<Waiter>>,
     closed: bool,
 }
 
@@ -503,7 +442,7 @@ const POISONED: &str = "a thread panicked holding a shared-connection lock";
 /// One shared pipelined v2 connection to a shard. Submitters register a
 /// waiter and queue the frame; [`Pipe::flush`] writes everything queued
 /// in one write. One thread connects, handshakes, then reads: it hands
-/// each response to its waiter by `(cid, rid)`, enforces every waiter's
+/// each response to its waiter by identity, enforces every waiter's
 /// deadline, and tears the connection down on any fault — reset, EOF,
 /// corrupt frame, error frame, or an overdue waiter. Teardown hands
 /// every waiter to [`Waiter::fall_back`].
@@ -516,24 +455,22 @@ pub(crate) struct Pipe {
 
 impl Pipe {
     /// Registers `w` and queues its frame, or hands `w` back if the
-    /// connection is already torn down.
-    fn enqueue(&self, cid: String, rid: u64, body: &str, w: Waiter) -> Result<(), Waiter> {
-        {
-            let mut ws = self.waiters.lock().expect(POISONED);
-            if ws.closed {
-                return Err(w);
-            }
-            ws.by_key
-                .entry((cid.clone(), rid))
-                .or_default()
-                .push_back(w);
+    /// connection is already torn down. The frame is queued under the
+    /// waiter lock, so the reader cannot see its answer before `w` is
+    /// registered.
+    fn enqueue(&self, w: Waiter) -> Result<(), Waiter> {
+        let mut ws = self.waiters.lock().expect(POISONED);
+        if ws.closed {
+            return Err(w);
         }
         let mut out = self.out.lock().expect(POISONED);
-        proto2::encode_frame(&mut out.buf, FrameType::Request, &cid, rid, body, None);
+        let Ident { cid, rid } = &w.ident;
+        proto2::encode_frame(&mut out.buf, FrameType::Request, cid, *rid, &w.line, None);
         out.frames += 1;
+        drop(out);
+        ws.by_key.entry(w.ident.clone()).or_default().push_back(w);
         Ok(())
     }
-
     /// Writes every queued frame in one write (a no-op while the
     /// handshake is still running: the reader flushes after it). A
     /// failed write tears the connection down.
@@ -595,7 +532,7 @@ impl Pipe {
     fn answer(&self, cid: String, rid: u64, mut body: String) {
         let w = {
             let mut ws = self.waiters.lock().expect(POISONED);
-            let key = (cid, rid);
+            let key = Ident { cid, rid };
             let Some(q) = ws.by_key.get_mut(&key) else {
                 return;
             };
@@ -625,15 +562,13 @@ impl Pipe {
     /// The connection's thread: connect and handshake, flush what queued
     /// meanwhile, then read until a fault, and tear down. A failed
     /// connect or handshake tears down at once: one attempt, because
-    /// the lockstep fallback owns the backoff schedule and the
-    /// detection of a v1-only peer.
+    /// the lockstep fallback owns the backoff schedule.
     fn run(&self, backend: Arc<TcpBackend>) {
         let Some((sock, mut rx)) = Pipe::open(&backend.addr, backend.read_timeout) else {
             drop(backend);
             self.tear_down();
             return;
         };
-        backend.v2_ok.store(true, Ordering::Relaxed);
         {
             let mut out = self.out.lock().expect(POISONED);
             // A teardown during the handshake had no socket to close.
@@ -707,28 +642,24 @@ impl Backend for TcpBackend {
         &self.name
     }
 
-    fn submit(self: Arc<Self>, line: String, client: String, done: Done) {
-        if !self.proto2 || self.peer_v1.load(Ordering::Relaxed) {
-            return call_on_thread(self, line, client, done);
+    fn submit(self: Arc<Self>, line: String, ident: Ident, done: Done) {
+        if !self.proto2 {
+            // The line dialect carries the identity in an `@mcc1`
+            // envelope; a lockstep call blocks, so it gets a thread.
+            std::thread::spawn(move || {
+                let frame = proto::wrap_envelope(&ident.cid, ident.rid, &line);
+                done(self.call_v1(&frame, Some(&ident)));
+            });
+            return;
         }
-        let (cid, rid, body) = match proto::unwrap_envelope(&line) {
-            Envelope::Enveloped { cid, rid, body } => (cid, rid, body),
-            _ => (
-                String::new(),
-                self.anon_rid.fetch_add(1, Ordering::Relaxed),
-                line.trim_end().to_string(),
-            ),
-        };
-        let deadline = self.read_timeout.map(|t| Instant::now() + t);
-        let pipe = self.pipe();
         let w = Waiter {
             line,
-            client,
+            ident,
             backend: Arc::clone(&self),
-            deadline,
+            deadline: self.read_timeout.map(|t| Instant::now() + t),
             done,
         };
-        if let Err(w) = pipe.enqueue(cid, rid, &body, w) {
+        if let Err(w) = self.pipe().enqueue(w) {
             w.fall_back();
         }
     }
@@ -744,75 +675,22 @@ impl Backend for TcpBackend {
         let _ = self.counters.set(Arc::clone(counters));
     }
 
-    // `client` is trait-mandated; this transport only threads it through
-    // the renegotiation retry.
-    #[allow(clippy::only_used_in_recursion)]
-    fn call(&self, line: &str, client: &str) -> Result<String, String> {
-        // v2 first when enabled and the peer hasn't proven v1-only.
-        if self.proto2 && !self.peer_v1.load(Ordering::Relaxed) {
-            match self.call_v2(line) {
-                Attempt::Done(resp) => return Ok(resp),
-                Attempt::Fail(e) => return Err(e),
-                Attempt::BareRenegotiate => {
-                    // Strict handshake evidence: the peer is a v1 line
-                    // server. Sticky, then fall through and speak v1.
-                    self.peer_v1.store(true, Ordering::Relaxed);
-                }
-            }
-        }
+    /// An `@mcc1` line's identity is decoded here, at the client's edge:
+    /// over v2 it travels in the frame header, over lines the envelope
+    /// is sent as is and its answer validated against it.
+    fn call(&self, line: &str, _client: &str) -> Result<String, String> {
         let ident = match proto::unwrap_envelope(line) {
-            Envelope::Enveloped { cid, rid, .. } => Some((cid, rid)),
+            Envelope::Enveloped { cid, rid, body } => Some((Ident { cid, rid }, body)),
             _ => None,
         };
-        // Version negotiation: a peer that rejected the envelope gets the
-        // bare body. Sticky per backend, never set while corruption is a
-        // plausible cause (see `envelope_ok`).
-        let (frame, ident) = if ident.is_some() && self.peer_bare.load(Ordering::Relaxed) {
-            (format!("{}\n", proto::envelope_body(line)), None)
-        } else {
-            (line.to_string(), ident)
-        };
-
-        let mut last = String::new();
-        // First try a pooled connection; a stale one (shard restarted,
-        // idle reaper closed it) falls through to a fresh connect, so
-        // one dead pooled socket never fails the request. The pop is
-        // bound outside the `if let` — an `if let` on the lock result
-        // would hold the guard through the body (edition-2021 scrutinee
-        // lifetime) and deadlock against the push inside `attempt`.
-        let pooled = self.pool.lock().unwrap().pop();
-        if let Some(s) = pooled {
-            match self.attempt(s, &frame, ident.as_ref()) {
-                Attempt::Done(resp) => return Ok(resp),
-                Attempt::BareRenegotiate => {
-                    if !self.envelope_ok.load(Ordering::Relaxed) {
-                        self.peer_bare.store(true, Ordering::Relaxed);
-                        return self.call(line, client);
-                    }
-                    last = "enveloped request answered bare by an envelope-capable peer"
-                        .to_string();
-                }
-                Attempt::Fail(e) => last = e,
+        match (self.proto2, ident) {
+            (false, ident) => self.call_v1(line, ident.as_ref().map(|(i, _)| i)),
+            (true, Some((i, body))) => self.call_v2(&i.cid, i.rid, &body),
+            (true, None) => {
+                let rid = self.anon_rid.fetch_add(1, Ordering::Relaxed);
+                self.call_v2("", rid, line.trim_end())
             }
         }
-        // Fresh connections re-send the SAME frame — same request_id —
-        // so a failure after the server executed replays, not re-runs.
-        for _ in 0..self.call_retries {
-            let s = Conn { r: BufReader::new(self.connect()?), buf: Vec::new() };
-            match self.attempt(s, &frame, ident.as_ref()) {
-                Attempt::Done(resp) => return Ok(resp),
-                Attempt::BareRenegotiate => {
-                    if !self.envelope_ok.load(Ordering::Relaxed) {
-                        self.peer_bare.store(true, Ordering::Relaxed);
-                        return self.call(line, client);
-                    }
-                    last = "enveloped request answered bare by an envelope-capable peer"
-                        .to_string();
-                }
-                Attempt::Fail(e) => last = e,
-            }
-        }
-        Err(format!("{}: {last}", self.name))
     }
 }
 
@@ -928,43 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn bare_peer_negotiation_downgrades_and_sticks() {
-        use std::io::{BufRead, BufReader as StdBufReader, Write};
-        // A pre-envelope peer: envelope lines are garbage JSON to it.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        std::thread::spawn(move || {
-            while let Ok((s, _)) = listener.accept() {
-                std::thread::spawn(move || {
-                    let mut r = StdBufReader::new(s.try_clone().unwrap());
-                    let mut w = s;
-                    let mut line = String::new();
-                    while r.read_line(&mut line).map(|n| n > 0).unwrap_or(false) {
-                        let resp = if line.starts_with("@mcc1") {
-                            "{\"id\":\"\",\"code\":400,\"error\":\"malformed frame: not a flat JSON object\"}\n".to_string()
-                        } else {
-                            "{\"id\":\"\",\"code\":200,\"pong\":1}\n".to_string()
-                        };
-                        if w.write_all(resp.as_bytes()).is_err() {
-                            break;
-                        }
-                        line.clear();
-                    }
-                });
-            }
-        });
-        let b = TcpBackend::new("old", &addr, 1, 2);
-        let frame = mcc_serve::proto::wrap_envelope("router-x", 1, "{\"op\":\"ping\"}");
-        let resp = b.call(&frame, "t").expect("negotiates down to bare JSON");
-        assert_eq!(Response::field_num(&resp, "code"), Some(200), "{resp}");
-        assert!(b.peer_bare.load(Ordering::Relaxed), "downgrade is sticky");
-        // Subsequent enveloped calls go straight through bare.
-        let frame2 = mcc_serve::proto::wrap_envelope("router-x", 2, "{\"op\":\"ping\"}");
-        let resp2 = b.call(&frame2, "t").unwrap();
-        assert_eq!(Response::field_num(&resp2, "code"), Some(200));
-    }
-
-    #[test]
     fn proto2_backend_round_trips_and_pools_the_negotiated_connection() {
         let server = Arc::new(Server::start(ServeConfig::default()));
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -986,14 +827,12 @@ mod tests {
         let bare = b.call("{\"op\":\"ping\"}\n", "t").expect("bare over v2");
         assert_eq!(Response::field_num(&bare, "code"), Some(200));
         assert_eq!(b.v2_pool.lock().unwrap().len(), 1, "one negotiated conn, reused");
-        assert!(b.v2_ok.load(Ordering::Relaxed));
-        assert!(!b.peer_v1.load(Ordering::Relaxed), "no downgrade against a v2 server");
         stop.store(true, Ordering::SeqCst);
         handle.join().ok();
     }
 
     #[test]
-    fn proto2_backend_downgrades_stickily_against_a_v1_only_peer() {
+    fn a_v2_hello_answered_by_a_line_server_is_a_transport_failure() {
         use std::io::{BufRead, BufReader as StdBufReader, Write};
         // A v1-only line server: any non-JSON line (like the binary
         // hello) gets the classic bare 400.
@@ -1022,12 +861,13 @@ mod tests {
                 });
             }
         });
-        let b = TcpBackend::new("old", &addr, 1, 2).with_proto2(true);
-        let resp = b.call("{\"op\":\"ping\"}\n", "t").expect("downgrades to v1 lines");
-        assert_eq!(Response::field_num(&resp, "code"), Some(200), "{resp}");
-        assert!(b.peer_v1.load(Ordering::Relaxed), "v2→v1 downgrade is sticky");
-        let resp2 = b.call("{\"op\":\"ping\"}\n", "t").unwrap();
-        assert_eq!(Response::field_num(&resp2, "code"), Some(200));
+        // Every peer is built from this workspace, so there is no v1
+        // fallback to redial: the call fails, naming the cause.
+        let b = TcpBackend::new("line", &addr, 1, 2).with_proto2(true);
+        for _ in 0..2 {
+            let err = b.call("{\"op\":\"ping\"}\n", "t").unwrap_err();
+            assert!(err.contains("line server"), "{err}");
+        }
     }
 
     #[test]
@@ -1102,8 +942,8 @@ mod tests {
         );
         let submit = |rid: u64, body: &str| {
             let (tx, rx) = std::sync::mpsc::channel();
-            let line = proto::wrap_envelope("c", rid, body);
-            Arc::clone(&b).submit(line, "t".into(), Box::new(move |r| drop(tx.send(r))));
+            let ident = Ident { cid: "c".to_string(), rid };
+            Arc::clone(&b).submit(body.to_string(), ident, Box::new(move |r| drop(tx.send(r))));
             b.flush();
             rx
         };

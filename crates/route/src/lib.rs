@@ -54,9 +54,7 @@ use std::time::{Duration, Instant};
 
 use mcc_harness::{Admit, Breaker, BreakerConfig};
 use mcc_serve::metrics::{merge_with_label, sanitize_label};
-use mcc_serve::proto::{
-    self, frame_id, parse_request, CompileReq, Envelope, JoinReq, Request, Response,
-};
+use mcc_serve::proto::{frame_id, parse_request, CompileReq, Ident, JoinReq, Request, Response};
 use mcc_serve::tcp::{LineHandler, WireSubmission};
 
 pub mod backend;
@@ -247,8 +245,8 @@ pub struct Router {
     inflight: AtomicUsize,
     probe_stop: Arc<AtomicBool>,
     probe_handle: Mutex<Option<JoinHandle<()>>>,
-    /// Monotonic request-id source for compiles the router envelopes on
-    /// behalf of bare-JSON clients.
+    /// Monotonic request-id source for the identities the router assigns
+    /// to compiles that arrive without one.
     next_rid: AtomicU64,
 }
 
@@ -265,8 +263,8 @@ impl Drop for InflightGuard<'_> {
 type Outcome = (usize, Result<String, String>);
 
 /// One routed compile between its dispatch and its answer: the candidate
-/// order, the forward frame every retry, failover and hedge reuses, and
-/// the channel every fired call reports on.
+/// order, the forward body and identity every retry, failover and hedge
+/// reuses, and the channel every fired call reports on.
 struct Flight<'a> {
     router: &'a Router,
     _inflight: InflightGuard<'a>,
@@ -276,7 +274,7 @@ struct Flight<'a> {
     /// The next candidate `fire` tries.
     next: usize,
     fwd: String,
-    client: String,
+    ident: Ident,
     tx: mpsc::Sender<Outcome>,
     rx: mpsc::Receiver<Outcome>,
     /// When the primary was dispatched: the hedge timer counts from here.
@@ -305,7 +303,7 @@ impl Flight<'_> {
             let done: Done = Box::new(move |r| {
                 let _ = tx.send((oi, r));
             });
-            Arc::clone(&backend).submit(self.fwd.clone(), self.client.clone(), done);
+            Arc::clone(&backend).submit(self.fwd.clone(), self.ident.clone(), done);
             if !self.batched {
                 backend.flush();
             }
@@ -587,13 +585,6 @@ impl Router {
     /// `join`/`leave` mutate the live ring, compiles are routed. Always
     /// returns a newline-terminated line.
     pub fn handle_line(&self, line: &str, client: &str) -> String {
-        self.handle_ident(line, client, None)
-    }
-
-    /// [`Router::handle_line`] with the client's envelope identity, when
-    /// it spoke the envelope — compiles forward it to the shard so the
-    /// exactly-once key is end-to-end, not per-hop.
-    fn handle_ident(&self, line: &str, client: &str, ident: Option<(&str, u64)>) -> String {
         match parse_request(line) {
             Err(reason) => {
                 self.counters.bump(&self.counters.bad_requests);
@@ -638,7 +629,10 @@ impl Router {
                 }
                 Err(reason) => Response::error(&frame_id(line), 400, &reason).to_line(),
             },
-            Ok(Request::Compile(req)) => self.route_compile(line, client, &req, ident),
+            Ok(Request::Compile(req)) => match self.dispatch(line, client, &req, None, false) {
+                Ok(flight) => flight.finish(),
+                Err(resp) => resp,
+            },
         }
     }
 
@@ -668,31 +662,17 @@ impl Router {
         self.tick.fetch_add(1, Ordering::SeqCst) + 1
     }
 
-    /// Routes one compile: place on the ring, rotate if hot, skip open
-    /// breakers, hedge if slow, fail over on transport failure.
-    fn route_compile(
-        &self,
-        line: &str,
-        client: &str,
-        req: &CompileReq,
-        ident: Option<(&str, u64)>,
-    ) -> String {
-        match self.dispatch(line, client, req, ident, false) {
-            Ok(flight) => flight.finish(),
-            Err(resp) => resp,
-        }
-    }
-
     /// Dispatches one compile to the first admitted candidate and returns
     /// it in flight, or the immediate answer (`503` while draining or
-    /// with no live backend). With `batched`, the submission waits for
-    /// the caller's burst flush ([`LineHandler::flush_submitted`]).
+    /// with no live backend): place on the ring, rotate if hot, skip open
+    /// breakers. With `batched`, the submission waits for the caller's
+    /// burst flush ([`LineHandler::flush_submitted`]).
     fn dispatch<'a>(
         &'a self,
         line: &str,
         client: &str,
         req: &CompileReq,
-        ident: Option<(&str, u64)>,
+        ident: Option<Ident>,
         batched: bool,
     ) -> Result<Flight<'a>, String> {
         if self.is_draining() {
@@ -725,19 +705,15 @@ impl Router {
             }
         }
 
-        // Every forward is enveloped, with ONE identity per client
-        // request: the client's own (end-to-end exactly-once when it
-        // spoke the envelope) or a router-assigned `(r:<client>, rid)`.
-        // Retries, failovers, and hedges all reuse this same frame, so a
-        // shard that already executed it replays instead of re-running.
-        let fwd = match ident {
-            Some((cid, rid)) => proto::wrap_envelope(cid, rid, line.trim_end()),
-            None => {
-                let rid = self.next_rid.fetch_add(1, Ordering::Relaxed);
-                let cid = format!("r:{}", client.replace(' ', "_"));
-                proto::wrap_envelope(&cid, rid, line.trim_end())
-            }
-        };
+        // Every forward carries ONE identity per client request: the
+        // client's own (end-to-end exactly-once when it sent one) or a
+        // router-assigned `(r:<client>, rid)`. Retries, failovers, and
+        // hedges all reuse it, so a shard that already executed the
+        // request replays instead of re-running.
+        let ident = ident.unwrap_or_else(|| Ident {
+            cid: format!("r:{}", client.replace(' ', "_")),
+            rid: self.next_rid.fetch_add(1, Ordering::Relaxed),
+        });
         let (tx, rx) = mpsc::channel();
         let mut flight = Flight {
             router: self,
@@ -745,8 +721,8 @@ impl Router {
             id: req.id.clone(),
             order,
             next: 0,
-            fwd,
-            client: client.to_string(),
+            fwd: line.trim_end().to_string(),
+            ident,
             tx,
             rx,
             dispatched: Instant::now(),
@@ -962,53 +938,23 @@ impl RouteCounters {
 }
 
 impl LineHandler for Router {
-    fn handle_wire(&self, line: &str, client: &str) -> String {
-        match proto::unwrap_envelope(line) {
-            Envelope::Bare => self.handle_line(line, client),
-            Envelope::Corrupt(reason) => {
-                self.counters.bump(&self.counters.corrupt_frames);
-                // Bare 400: the envelope's identity fields can't be
-                // trusted enough to echo them back.
-                Response::error("", 400, &reason).to_line()
-            }
-            Envelope::Enveloped { cid, rid, body } => {
-                let resp = self.handle_ident(&format!("{body}\n"), client, Some((&cid, rid)));
-                proto::wrap_envelope(&cid, rid, &resp)
-            }
-        }
-    }
-
     /// Compiles are dispatched now and answered at collection; anything
     /// else runs at collection, in arrival order, exactly as the
     /// blocking path would. A drain stops admission at once, so a
     /// compile behind it in the same burst gets the `503` it would get
     /// serially, while the drain still waits out the compiles before it.
-    fn submit_wire(&self, line: &str, client: &str) -> WireSubmission<'_> {
-        let (body, ident) = match proto::unwrap_envelope(line) {
-            Envelope::Enveloped { cid, rid, body } => (format!("{body}\n"), Some((cid, rid))),
-            // Bare, or corrupt: `handle_wire` answers a corrupt one.
-            _ => (line.to_string(), None),
-        };
-        let wrap = |ident: Option<(String, u64)>, resp: String| match ident {
-            Some((cid, rid)) => proto::wrap_envelope(&cid, rid, &resp),
-            None => resp,
-        };
-        match parse_request(&body) {
-            Ok(Request::Compile(req)) => {
-                let id = ident.as_ref().map(|(cid, rid)| (cid.as_str(), *rid));
-                match self.dispatch(&body, client, &req, id, true) {
-                    Ok(flight) => {
-                        WireSubmission::Pending(Box::new(move || wrap(ident, flight.finish())))
-                    }
-                    Err(resp) => WireSubmission::Done(wrap(ident, resp)),
-                }
-            }
+    fn submit_wire(&self, line: &str, ident: Option<Ident>, client: &str) -> WireSubmission<'_> {
+        match parse_request(line) {
+            Ok(Request::Compile(req)) => match self.dispatch(line, client, &req, ident, true) {
+                Ok(flight) => WireSubmission::Pending(Box::new(move || flight.finish())),
+                Err(resp) => WireSubmission::Done(resp),
+            },
             parsed => {
                 if matches!(parsed, Ok(Request::Drain)) {
                     self.draining.store(true, Ordering::SeqCst);
                 }
                 let (line, client) = (line.to_string(), client.to_string());
-                WireSubmission::Pending(Box::new(move || self.handle_wire(&line, &client)))
+                WireSubmission::Pending(Box::new(move || self.handle_line(&line, &client)))
             }
         }
     }
@@ -1193,8 +1139,15 @@ mod tests {
 
     /// A backend that answers correctly but slowly — the hedging target.
     struct SlowBackend {
-        inner: InProcBackend,
+        inner: Arc<InProcBackend>,
         delay: Duration,
+    }
+
+    impl SlowBackend {
+        fn new(name: &str, delay: Duration) -> SlowBackend {
+            let server = Arc::new(Server::start(ServeConfig::default()));
+            SlowBackend { inner: Arc::new(InProcBackend::new(name, server)), delay }
+        }
     }
 
     impl Backend for SlowBackend {
@@ -1205,6 +1158,12 @@ mod tests {
             std::thread::sleep(self.delay);
             self.inner.call(line, client)
         }
+        fn submit(self: Arc<Self>, line: String, ident: Ident, done: Done) {
+            std::thread::spawn(move || {
+                std::thread::sleep(self.delay);
+                Arc::clone(&self.inner).submit(line, ident, done);
+            });
+        }
     }
 
     #[test]
@@ -1213,10 +1172,7 @@ mod tests {
             hedge_after: Some(Duration::from_millis(15)),
             ..RouteConfig::default()
         };
-        let slow = Arc::new(SlowBackend {
-            inner: InProcBackend::new("b0", Arc::new(Server::start(ServeConfig::default()))),
-            delay: Duration::from_millis(300),
-        });
+        let slow = Arc::new(SlowBackend::new("b0", Duration::from_millis(300)));
         let fast = Arc::new(InProcBackend::new(
             "b1",
             Arc::new(Server::start(ServeConfig::default())),
@@ -1252,14 +1208,8 @@ mod tests {
         };
         // Primary answers in 60ms (after the hedge fires), hedge target
         // in 300ms: the hedge fires and loses.
-        let prim = Arc::new(SlowBackend {
-            inner: InProcBackend::new("b0", Arc::new(Server::start(ServeConfig::default()))),
-            delay: Duration::from_millis(60),
-        });
-        let succ = Arc::new(SlowBackend {
-            inner: InProcBackend::new("b1", Arc::new(Server::start(ServeConfig::default()))),
-            delay: Duration::from_millis(300),
-        });
+        let prim = Arc::new(SlowBackend::new("b0", Duration::from_millis(60)));
+        let succ = Arc::new(SlowBackend::new("b1", Duration::from_millis(300)));
         let router = Router::new(
             vec![
                 Arc::clone(&prim) as Arc<dyn Backend>,

@@ -92,7 +92,7 @@ fn one_reset_retries_each_stranded_request_on_its_own() {
     // compile dispatched, one flush, then the answers in order.
     let answers: Vec<_> = lines
         .iter()
-        .map(|l| match router.submit_wire(l, "t") {
+        .map(|l| match router.submit_wire(l, None, "t") {
             WireSubmission::Pending(answer) => answer,
             WireSubmission::Done(r) => panic!("a compile is answered at collection: {r}"),
         })

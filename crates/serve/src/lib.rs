@@ -34,6 +34,7 @@
 //! dropped.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -54,8 +55,10 @@ pub mod trace;
 
 pub use admission::{tier_for_depth, RateLimiter, ServeCounters};
 pub use dedup::{Claim, DedupWindow};
-pub use proto::{parse_request, CompileReq, Request, Response};
+pub use proto::{parse_request, CompileReq, Ident, Request, Response};
 pub use qos::{tier_for_class, Class, WfqQueue};
+
+use tcp::WireSubmission;
 
 /// Server tuning.
 #[derive(Debug, Clone)]
@@ -154,6 +157,20 @@ struct Pending {
     class: Class,
     /// Intake timestamp: the latency histograms measure from here.
     enqueued: Instant,
+    /// The identity the request arrived with: its dedup key resolves
+    /// with the response.
+    ident: Option<Ident>,
+}
+
+impl Pending {
+    /// Sends the request's one response, resolving its dedup key first
+    /// so a parked duplicate is answered alongside it.
+    fn answer(self, inner: &Inner, response: Response) {
+        if let Some(ident) = &self.ident {
+            inner.dedup.resolve(ident, response.code, &response.to_line());
+        }
+        let _ = self.responder.send(response);
+    }
 }
 
 /// One compile job waiting in (or released from) the weighted-fair
@@ -182,7 +199,7 @@ struct Inner {
     /// (bank, logical now): one tick per resolution, like the campaign
     /// supervisor, so breaker behaviour is deterministic under test.
     breakers: Mutex<(BreakerBank, u64)>,
-    /// The exactly-once window for enveloped requests.
+    /// The exactly-once window for requests that carry an identity.
     dedup: DedupWindow,
     /// Memoized per-(machine, lang, options) compile constants: the
     /// `Compiler` (a `MachineDesc` clone per construction otherwise) and
@@ -343,77 +360,91 @@ impl Server {
     /// response is ready. `ping`/`stats` and every rejection resolve
     /// immediately; admitted compiles resolve when a worker (or the
     /// deadline) does. A `drain` frame begins the drain and answers
-    /// `200` at once.
+    /// `200` at once; a panic in the request path answers `500`.
     pub fn handle_line(&self, line: &str, client: &str) -> Response {
-        match self.submit_line(line, client) {
+        match self.contained(line, client, None) {
             Submitted::Done(r) => r,
-            // The supervisor guarantees exactly one send per admitted
-            // request, so a closed channel is unreachable; answer 500
-            // rather than panicking a connection if it ever regresses.
-            Submitted::Pending(rx) => rx
-                .recv()
-                .unwrap_or_else(|_| Response::error("", 500, "response channel lost")),
+            Submitted::Pending(rx) => collect(rx, self.answer_wait()),
         }
     }
 
-    /// Handles one wire frame, enveloped or bare, with panic containment
-    /// and exactly-once semantics for enveloped frames.
-    ///
-    /// * bare JSON — the original [`Server::handle_line`] path, unchanged;
-    /// * `@mcc1` envelope — the `(cid, rid)` key goes through the
-    ///   idempotency window: duplicates replay the recorded response (or
-    ///   wait for the in-flight original) instead of re-executing, and the
-    ///   response is wrapped back with the same identity and a fresh
-    ///   checksum;
-    /// * corrupt envelope — counted, answered with a *bare* `400` (the
-    ///   identity fields cannot be trusted), never executed.
-    pub fn handle_frame(&self, line: &str, client: &str) -> String {
-        let c = self.counters();
-        match proto::unwrap_envelope(line) {
-            proto::Envelope::Bare => tcp::handle_contained(self, line, client).to_line(),
-            proto::Envelope::Corrupt(reason) => {
-                c.bump(&c.corrupt_frames);
-                Response::error("", 400, &reason).to_line()
-            }
-            proto::Envelope::Enveloped { cid, rid, body } => {
-                match self.inner.dedup.claim(&cid, rid) {
-                    Claim::Replay(resp) => {
-                        c.bump(&c.replayed);
-                        resp
-                    }
-                    Claim::Wait(rx) => {
-                        c.bump(&c.replayed);
-                        rx.recv_timeout(self.inner.cfg.deadline + Duration::from_secs(5))
-                            .unwrap_or_else(|_| {
-                                let id = proto::frame_id(&body);
-                                proto::wrap_envelope(
-                                    &cid,
-                                    rid,
-                                    &Response::error(&id, 504, "duplicate wait timed out")
-                                        .to_line(),
-                                )
-                            })
-                    }
-                    Claim::Fresh => {
-                        // The envelope's client id is the logical identity:
-                        // rate limiting and dedup follow the client across
-                        // reconnects, not the ephemeral socket address.
-                        let r = tcp::handle_contained(self, &format!("{body}\n"), &cid);
-                        // Transient rejections must not be replayed: a
-                        // retried frame deserves a fresh admission attempt.
-                        let record = !matches!(r.code, 429 | 503);
-                        let wrapped = proto::wrap_envelope(&cid, rid, &r.to_line());
-                        self.inner.dedup.resolve(&cid, rid, &wrapped, record);
-                        wrapped
-                    }
+    /// Two-phase intake for one wire frame, answered in response lines:
+    /// [`Server::submit_line`] with panic containment, plus exactly-once
+    /// semantics for a frame that arrived with an identity. Such a frame
+    /// claims its key in the idempotency window at admission. A finished
+    /// key replays its recorded response at once; a key still executing
+    /// waits for the original's response; a fresh key is admitted like a
+    /// bare frame and resolves with the response its client receives.
+    pub fn submit_frame(
+        &self,
+        line: &str,
+        ident: Option<Ident>,
+        client: &str,
+    ) -> WireSubmission<'static> {
+        let wait = self.answer_wait();
+        let mut fresh = None;
+        if let Some(ident) = ident {
+            let c = self.counters();
+            match self.inner.dedup.claim(&ident) {
+                Claim::Fresh => fresh = Some(ident),
+                Claim::Replay(resp) => {
+                    c.bump(&c.replayed);
+                    return WireSubmission::Done(resp);
+                }
+                Claim::Wait(rx) => {
+                    c.bump(&c.replayed);
+                    return WireSubmission::Pending(Box::new(move || {
+                        rx.recv_timeout(wait).unwrap_or_else(|e| lost(e).to_line())
+                    }));
                 }
             }
         }
+        // A fresh identity's client id is the logical client: rate
+        // limiting follows it across reconnects, not the ephemeral
+        // socket address. An admitted request resolves its key when the
+        // supervisor answers it.
+        let client = fresh.as_ref().map_or(client, |i| i.cid.as_str());
+        match self.contained(line, client, fresh.as_ref()) {
+            Submitted::Done(r) => {
+                let resp = r.to_line();
+                if let Some(ident) = &fresh {
+                    self.inner.dedup.resolve(ident, r.code, &resp);
+                }
+                WireSubmission::Done(resp)
+            }
+            Submitted::Pending(rx) => {
+                WireSubmission::Pending(Box::new(move || collect(rx, wait).to_line()))
+            }
+        }
+    }
+
+    /// [`Server::intake`] with panic containment: a panic anywhere in
+    /// the request path becomes a structured `500`, never a dead
+    /// connection.
+    fn contained(&self, line: &str, client: &str, ident: Option<&Ident>) -> Submitted {
+        catch_unwind(AssertUnwindSafe(|| self.intake(line, client, ident))).unwrap_or_else(|p| {
+            let reason = mcc_harness::pool::panic_text(p.as_ref());
+            let msg = format!("panic contained in request loop: {reason}");
+            Submitted::Done(Response::error(&proto::frame_id(line), 500, &msg))
+        })
+    }
+
+    /// How long a collector waits for an admitted request's answer. The
+    /// supervisor answers every admitted request by its deadline, so
+    /// this only bounds a regression.
+    fn answer_wait(&self) -> Duration {
+        self.inner.cfg.deadline + Duration::from_secs(5)
     }
 
     /// Non-blocking intake: parses and either resolves the frame
     /// immediately or admits it and hands back the response channel.
     pub fn submit_line(&self, line: &str, client: &str) -> Submitted {
+        self.intake(line, client, None)
+    }
+
+    /// [`Server::submit_line`] for a frame whose `ident` has claimed a
+    /// fresh key: an admitted compile carries it to the supervisor.
+    fn intake(&self, line: &str, client: &str, ident: Option<&Ident>) -> Submitted {
         let req = match proto::parse_request(line) {
             Ok(r) => r,
             Err(reason) => {
@@ -469,12 +500,12 @@ impl Server {
                 400,
                 "leave is a router admin op, not a shard op",
             )),
-            Request::Compile(c) => self.submit_compile(c, client),
+            Request::Compile(c) => self.submit_compile(c, client, ident),
         }
     }
 
     /// Admits (or rejects) one compile request.
-    fn submit_compile(&self, req: CompileReq, client: &str) -> Submitted {
+    fn submit_compile(&self, req: CompileReq, client: &str, ident: Option<&Ident>) -> Submitted {
         let inner = &*self.inner;
         let counters = &inner.counters;
         let arrived = Instant::now();
@@ -638,6 +669,7 @@ impl Server {
                 tenant: tenant.clone(),
                 class,
                 enqueued: arrived,
+                ident: ident.cloned(),
             },
         );
         let (compiler, prefix) = inner.compile_consts(&req.machine, lang, &opts);
@@ -867,6 +899,19 @@ impl Drop for Server {
     }
 }
 
+/// Waits up to `wait` for an admitted request's answer.
+fn collect(rx: mpsc::Receiver<Response>, wait: Duration) -> Response {
+    rx.recv_timeout(wait).unwrap_or_else(lost)
+}
+
+/// The answer to a request whose response never came: unreachable
+/// while the supervisor keeps its one-send-per-request guarantee, and a
+/// structured `500` rather than a hung or panicked connection if that
+/// ever regresses.
+fn lost(e: mpsc::RecvTimeoutError) -> Response {
+    Response::error("", 500, &format!("response lost: {e}"))
+}
+
 /// The result of [`Server::submit_line`].
 pub enum Submitted {
     /// Resolved immediately (controls, rejections, and errors).
@@ -946,7 +991,7 @@ fn supervise(inner: Arc<Inner>, mut pool: WorkerPool<CompileResult>) {
                 inner.inflight.fetch_sub(1, Ordering::SeqCst);
                 maybe_clear_pressure(&inner);
                 dispatch_ready(&inner);
-                let _ = p.responder.send(response);
+                p.answer(&inner, response);
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
@@ -990,7 +1035,8 @@ fn supervise(inner: Arc<Inner>, mut pool: WorkerPool<CompileResult>) {
             inner.inflight.fetch_sub(1, Ordering::SeqCst);
             maybe_clear_pressure(&inner);
             dispatch_ready(&inner);
-            let _ = p.responder.send(Response::error(&p.id, 504, "deadline expired"));
+            let r = Response::error(&p.id, 504, "deadline expired");
+            p.answer(&inner, r);
         }
 
         if inner.draining.load(Ordering::SeqCst) && inner.inflight.load(Ordering::SeqCst) == 0 {

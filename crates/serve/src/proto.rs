@@ -47,17 +47,29 @@ pub const MAX_FRAME_BYTES: usize = 1 << 20;
 /// `<client_id> <request_id> <fnv1a:016x> <body>`.
 pub const ENVELOPE_PREFIX: &str = "@mcc1 ";
 
-/// Result of inspecting one inbound line for the envelope extension.
+/// A request's identity: the client id and that client's request id.
+/// It arrives in a v2 frame header or an `@mcc1` line, is decoded once
+/// where it arrives, and keys the server's idempotency window, so a
+/// retry with the same identity executes once.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Ident {
+    /// The logical client, stable across reconnects.
+    pub cid: String,
+    /// The client's request id: the retry-safety handle.
+    pub rid: u64,
+}
+
+/// Result of inspecting one inbound line for the envelope.
 ///
-/// The envelope is version-negotiated by shape: a frame that starts with
-/// [`ENVELOPE_PREFIX`] is enveloped, anything else is a bare JSON frame from
-/// an old peer and flows through the original path untouched. A frame that
-/// *claims* to be enveloped but fails structural or checksum validation is
-/// `Corrupt` — it must be answered with a bare `400` (the identity fields
-/// cannot be trusted) and never executed.
+/// The envelope is the line dialect's identity syntax, recognised by
+/// shape: a line that starts with [`ENVELOPE_PREFIX`] carries an
+/// identity, anything else is a bare JSON line without one. A line that
+/// *claims* to be enveloped but fails structural or checksum validation
+/// is `Corrupt` — it must be answered with a bare `400` (the identity
+/// fields cannot be trusted) and never executed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Envelope {
-    /// Legacy bare JSON frame; no id, no checksum.
+    /// Bare JSON line; no identity, no checksum.
     Bare,
     /// Validated envelope: checksum matched the transmitted bytes.
     Enveloped {

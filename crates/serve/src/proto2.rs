@@ -34,12 +34,12 @@
 //!
 //! A v2 client opens with a [`FrameType::Hello`] frame followed by one
 //! bait newline. A v2 server ignores inter-frame newlines and answers
-//! [`FrameType::HelloAck`] with the negotiated capabilities; a v1 server
-//! line-reads the hello as garbage and answers its usual bare-JSON 400,
-//! which the client takes as downgrade evidence, closes the socket, and
-//! redials speaking v1. A v1 client's first byte (`{` or `@`) is not the
-//! v2 magic, so a v2 server routes that connection to the v1 line loop —
-//! both directions interoperate with zero configuration.
+//! [`FrameType::HelloAck`] with the negotiated capabilities; a line
+//! server reads the hello as garbage and answers its usual bare-JSON
+//! 400, which the client reports as [`Handshake::V1Peer`]. A line
+//! client's first byte (`{` or `@`) is not the v2 magic, so a server
+//! routes that connection to its line loop — one listener serves both
+//! dialects.
 //!
 //! LEB128 decoding is canonical-form-only (no overlong encodings, max
 //! 10 bytes), matching the clickhouse-style varint discipline, so every
@@ -628,8 +628,8 @@ pub fn negotiate(client: &Caps) -> Caps {
 pub enum Handshake {
     /// The peer acked the hello; speak v2 on this connection.
     V2(Client),
-    /// The peer answered with v1's bare-JSON 400 — it is a line-protocol
-    /// server. The socket has been consumed; redial speaking v1.
+    /// The peer answered with the line loop's bare-JSON 400 — it is a
+    /// line-protocol server. The socket has been consumed.
     V1Peer,
 }
 

@@ -1,4 +1,5 @@
-//! The TCP front end: newline-delimited JSON over `TcpListener`, one
+//! The TCP front end: newline-delimited JSON lines or binary v2 frames
+//! (sniffed from a connection's first byte) over `TcpListener`, one
 //! thread per connection. The accept loop waits for a connection with a
 //! `poll(2)` bounded by one tick, so a new connection is accepted at
 //! once and a stop flag set by a signal (or a `drain` frame) still ends
@@ -24,12 +25,11 @@
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::proto::Response;
+use crate::proto::{self, Envelope, Ident, Response};
 use crate::Server;
 
 /// How often the accept loop polls the stop flag.
@@ -74,22 +74,19 @@ pub fn wait_for_connection(listener: &TcpListener, tick: Duration) {
     }
 }
 
-/// One endpoint of the newline-delimited protocol: turns a request line
-/// into a newline-terminated response line. Implemented by the compile
-/// daemon ([`Server`]) and by the router (`mcc_route::Router`).
+/// One endpoint of the wire protocol: the compile daemon ([`Server`])
+/// and the router (`mcc_route::Router`). The wire loops decode a
+/// request's identity where it arrives — a v2 frame's header, or an
+/// `@mcc1` line — and hand it over as a value beside the bare JSON body.
 pub trait LineHandler: Send + Sync + 'static {
-    /// Handles one frame; the returned line must be newline-terminated.
-    fn handle_wire(&self, line: &str, client: &str) -> String;
-
-    /// Two-phase intake for pipelined peers: a handler that can
-    /// separate admission from completion returns `Pending`, letting
-    /// the wire loop admit a whole burst of frames before collecting any
-    /// outcome — the workers chew the backlog in one scheduling quantum
-    /// instead of round-tripping per request. Outcomes are collected in
-    /// arrival order. The default is the blocking round trip.
-    fn submit_wire(&self, line: &str, client: &str) -> WireSubmission<'_> {
-        WireSubmission::Done(self.handle_wire(line, client))
-    }
+    /// Two-phase intake: admits one request, whose bare JSON body is
+    /// `line` and whose identity is `ident` when the peer sent one. A
+    /// request that resolves at once is `Done`; an admitted one is
+    /// `Pending`, so a wire loop can admit a whole read burst before it
+    /// collects any outcome — the workers chew the backlog in one
+    /// scheduling quantum instead of round-tripping per request.
+    /// Outcomes are collected in arrival order.
+    fn submit_wire(&self, line: &str, ident: Option<Ident>, client: &str) -> WireSubmission<'_>;
 
     /// Called once a read burst is admitted, before any of its outcomes
     /// is collected: a handler that holds back what `submit_wire`
@@ -109,8 +106,9 @@ pub trait LineHandler: Send + Sync + 'static {
     /// Called per decoded v2 frame.
     fn on_v2_frame(&self) {}
 
-    /// Called when a v2 stream turns structurally corrupt and the
-    /// connection is closed with an error frame.
+    /// Called for a corrupt `@mcc1` line, and when a v2 stream turns
+    /// structurally corrupt and the connection is closed with an error
+    /// frame.
     fn on_corrupt_frame(&self) {}
 
     /// The idle timeout for connections served on behalf of this
@@ -125,42 +123,12 @@ pub enum WireSubmission<'a> {
     /// Resolved immediately; the line is newline-terminated.
     Done(String),
     /// Admitted; calling this waits for the newline-terminated answer.
-    Pending(Box<dyn FnOnce() -> String + 'a>),
+    Pending(Box<dyn FnOnce() -> String + Send + 'a>),
 }
 
 impl LineHandler for Server {
-    fn handle_wire(&self, line: &str, client: &str) -> String {
-        self.handle_frame(line, client)
-    }
-
-    fn submit_wire(&self, line: &str, client: &str) -> WireSubmission<'_> {
-        // Only a bare frame can split admission from completion; an
-        // enveloped frame owes the idempotency layer a resolution,
-        // which the blocking path provides.
-        if !matches!(crate::proto::unwrap_envelope(line), crate::proto::Envelope::Bare) {
-            return WireSubmission::Done(self.handle_frame(line, client));
-        }
-        match catch_unwind(AssertUnwindSafe(|| self.submit_line(line, client))) {
-            Ok(crate::Submitted::Done(r)) => WireSubmission::Done(r.to_line()),
-            // The supervisor guarantees exactly one send per admitted
-            // request; mirror `handle_line`'s fallback anyway.
-            Ok(crate::Submitted::Pending(rx)) => WireSubmission::Pending(Box::new(move || {
-                rx.recv()
-                    .unwrap_or_else(|_| Response::error("", 500, "response channel lost"))
-                    .to_line()
-            })),
-            Err(p) => WireSubmission::Done(
-                Response::error(
-                    &crate::proto::frame_id(line),
-                    500,
-                    &format!(
-                        "panic contained in request loop: {}",
-                        mcc_harness::pool::panic_text(p.as_ref())
-                    ),
-                )
-                .to_line(),
-            ),
-        }
+    fn submit_wire(&self, line: &str, ident: Option<Ident>, client: &str) -> WireSubmission<'_> {
+        self.submit_frame(line, ident, client)
     }
 
     fn on_idle_reap(&self) {
@@ -400,9 +368,8 @@ pub fn serve(
 
 /// One connection. The first inbound byte picks the protocol: the v2
 /// magic (`0xB5`) routes to the pipelined frame loop, anything else
-/// (a `{` or `@` from a v1 peer) to the classic line loop — so v1-only
-/// clients get correct service from a v2 server with zero
-/// configuration. An idle timeout on the read side feeds the reaper.
+/// (a `{` or `@`) to the line loop, so one listener serves both
+/// dialects. An idle timeout on the read side feeds the reaper.
 fn connection(
     handler: Arc<dyn LineHandler>,
     stream: TcpStream,
@@ -417,7 +384,7 @@ fn connection(
         match reader.fill_buf() {
             Ok([]) => return Ok(()), // closed before the first byte.
             Ok(chunk) if chunk[0] == crate::proto2::MAGIC[0] => {
-                return v2_connection(handler, reader, writer, client, stop);
+                return v2_connection(&*handler, reader, writer, client, stop);
             }
             Ok(_) => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -433,9 +400,38 @@ fn connection(
     v1_connection(&*handler, reader, writer, client, stop)
 }
 
-/// The classic v1 loop: read lines, answer each with exactly one line.
-/// One reusable buffer carries every request; the line is borrowed from
-/// it (`Cow`), so the steady state allocates nothing on the read side.
+/// Submits one line-loop request and waits for its newline-terminated
+/// answer.
+fn answer(
+    handler: &dyn LineHandler,
+    line: &str,
+    ident: Option<Ident>,
+    client: &str,
+    stop: &AtomicBool,
+) -> String {
+    sniff_drain(line, stop);
+    match handler.submit_wire(line, ident, client) {
+        WireSubmission::Done(resp) => resp,
+        WireSubmission::Pending(resp) => {
+            handler.flush_submitted();
+            resp()
+        }
+    }
+}
+
+/// A `drain` request stops the accept loop too, not just its connection.
+fn sniff_drain(body: &str, stop: &AtomicBool) {
+    if matches!(proto::parse_request(body), Ok(crate::Request::Drain)) {
+        stop.store(true, Ordering::SeqCst);
+    }
+}
+
+/// The line loop: read lines, answer each with exactly one line. An
+/// `@mcc1` line's identity is decoded here and its answer enveloped
+/// back with it; a corrupt one is counted and answered with a bare
+/// `400`, never executed. One reusable buffer carries every request;
+/// the line is borrowed from it (`Cow`), so the steady state allocates
+/// nothing on the read side.
 fn v1_connection(
     handler: &dyn LineHandler,
     mut reader: BufReader<TcpStream>,
@@ -445,7 +441,7 @@ fn v1_connection(
 ) -> io::Result<()> {
     let mut buf: Vec<u8> = Vec::new();
     loop {
-        match read_frame_buf(&mut reader, &mut buf, crate::proto::MAX_FRAME_BYTES)? {
+        match read_frame_buf(&mut reader, &mut buf, proto::MAX_FRAME_BYTES)? {
             FrameBufRead::Frame => {}
             FrameBufRead::Eof => return Ok(()), // client closed cleanly.
             // The read timed out with nothing (or only a partial frame)
@@ -462,10 +458,7 @@ fn v1_connection(
                 let resp = Response::error(
                     "",
                     400,
-                    &format!(
-                        "oversized frame: longer than {} bytes",
-                        crate::proto::MAX_FRAME_BYTES
-                    ),
+                    &format!("oversized frame: longer than {} bytes", proto::MAX_FRAME_BYTES),
                 );
                 let _ = write_frame(&mut writer, resp.to_line().as_bytes());
                 return Ok(());
@@ -474,139 +467,71 @@ fn v1_connection(
         {
             let line = String::from_utf8_lossy(&buf);
             if !line.trim().is_empty() {
-                let response = handler.handle_wire(&line, client);
-                write_frame(&mut writer, response.as_bytes())?;
-                // A drain frame stops the accept loop too, not just this
-                // connection. Enveloped drains count: unwrap first.
-                let body = crate::proto::envelope_body(&line);
-                if matches!(crate::proto::parse_request(body), Ok(crate::Request::Drain)) {
-                    stop.store(true, Ordering::SeqCst);
-                }
+                let resp = match proto::unwrap_envelope(&line) {
+                    Envelope::Bare => answer(handler, &line, None, client, stop),
+                    Envelope::Enveloped { cid, rid, body } => {
+                        let ident = Ident { cid: cid.clone(), rid };
+                        let resp = answer(handler, &body, Some(ident), client, stop);
+                        proto::wrap_envelope(&cid, rid, &resp)
+                    }
+                    Envelope::Corrupt(reason) => {
+                        handler.on_corrupt_frame();
+                        Response::error("", 400, &reason).to_line()
+                    }
+                };
+                write_frame(&mut writer, resp.as_bytes())?;
             }
         }
         crate::buf::shrink_reusable(&mut buf);
     }
 }
 
-/// Ceiling on worker threads spawned per v2 connection; the negotiated
-/// window can exceed this (requests still queue), but per-connection
-/// thread fan-out stays bounded.
-const V2_WORKERS_MAX: usize = 8;
-
-/// Per-connection worker budget: the machine's parallelism, capped at
-/// [`V2_WORKERS_MAX`]. A budget of 1 selects the inline dispatch path —
-/// on a single-core box every extra thread hop is pure context-switch
-/// overhead, and pipelining should win on syscall amortization alone.
-/// `MCC_V2_WORKERS` overrides (clamped to `1..=V2_WORKERS_MAX`), which
-/// CI uses to pin one path regardless of runner shape.
-fn v2_worker_budget() -> usize {
-    if let Some(n) = std::env::var("MCC_V2_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        return n.clamp(1, V2_WORKERS_MAX);
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(V2_WORKERS_MAX)
-}
-
-/// The v2 pipelined loop. One reader (this thread) decodes frames and
-/// dispatches requests to a small lazy worker pool; one writer thread
-/// batches response frames through a [`crate::buf::SegBuf`]. Requests
-/// with a non-empty cid are re-wrapped as `@mcc1` envelopes before
-/// hitting the handler, so v2 rides the exact dedup/replay machinery
-/// that made v1 exactly-once — the protocols cannot drift.
+/// The v2 pipelined loop: decode every complete frame in the read
+/// burst, admit each request through [`LineHandler::submit_wire`] with
+/// the identity from its header, let the handler flush what it held
+/// back, collect the outcomes in arrival order into one segmented
+/// buffer, and answer with one write before the next read. The
+/// handler's intake overlaps the burst's work; the loop's own win is one
+/// read and one write syscall per burst instead of one of each per
+/// request.
 fn v2_connection(
-    handler: Arc<dyn LineHandler>,
+    handler: &dyn LineHandler,
     mut reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    mut writer: TcpStream,
     client: &str,
     stop: &AtomicBool,
 ) -> io::Result<()> {
     use crate::proto2::{self, Caps, FrameFault, FrameType};
-    use std::sync::mpsc;
-    use std::sync::{Condvar, Mutex};
-
-    if v2_worker_budget() == 1 {
-        return v2_connection_inline(handler, reader, writer, client, stop);
-    }
 
     handler.on_v2_connection();
     writer.set_write_timeout(handler.idle_timeout()).ok();
 
-    // Writer thread: encodes into a reusable segmented buffer, batching
-    // everything queued at wake-up into one write burst.
-    let compress_on = Arc::new(AtomicBool::new(false));
-    let (wtx, wrx) = mpsc::channel::<(FrameType, String, u64, String)>();
-    let writer_compress = Arc::clone(&compress_on);
-    let writer_handle = std::thread::spawn(move || {
-        let mut w = writer;
-        let mut seg = crate::buf::SegBuf::new();
-        let mut scratch: Vec<u8> = Vec::new();
-        while let Ok(first) = wrx.recv() {
-            let min = writer_compress
-                .load(Ordering::SeqCst)
-                .then_some(proto2::COMPRESS_MIN_BYTES);
-            let encode = |(ftype, cid, rid, body): (FrameType, String, u64, String),
-                              seg: &mut crate::buf::SegBuf,
-                              scratch: &mut Vec<u8>| {
-                crate::buf::shrink_reusable(scratch);
-                proto2::encode_frame(scratch, ftype, &cid, rid, body.trim_end_matches('\n'), min);
-                seg.extend(scratch);
-            };
-            encode(first, &mut seg, &mut scratch);
-            while seg.len() < 256 * 1024 {
-                match wrx.try_recv() {
-                    Ok(next) => encode(next, &mut seg, &mut scratch),
-                    Err(_) => break,
-                }
-            }
-            if seg.write_out(&mut w).is_err() {
-                return; // peer gone; the reader will see EOF/RST.
-            }
-        }
-    });
-
-    // Lazy worker pool: a Mutex-guarded Receiver is the spmc queue.
-    let (work_tx, work_rx) = mpsc::channel::<(String, u64, String)>();
-    let work_rx = Arc::new(Mutex::new(work_rx));
-    let in_flight = Arc::new((Mutex::new(0usize), Condvar::new()));
-    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let spawn_worker = |workers: &mut Vec<std::thread::JoinHandle<()>>| {
-        let handler = Arc::clone(&handler);
-        let wtx = wtx.clone();
-        let rx = Arc::clone(&work_rx);
-        let gate = Arc::clone(&in_flight);
-        let client = client.to_string();
-        workers.push(std::thread::spawn(move || loop {
-            // Holding the lock across recv serializes the *wait*, not
-            // the work: the winner releases it as soon as an item lands.
-            let item = rx.lock().unwrap().recv();
-            let Ok((cid, rid, body)) = item else { return };
-            let line = if cid.is_empty() {
-                format!("{body}\n")
-            } else {
-                crate::proto::wrap_envelope(&cid, rid, &body)
-            };
-            let resp = handler.handle_wire(&line, &client);
-            let out = match crate::proto::unwrap_envelope(&resp) {
-                crate::proto::Envelope::Enveloped { body, .. } => body,
-                _ => resp.trim_end_matches('\n').to_string(),
-            };
-            let _ = wtx.send((FrameType::Response, cid, rid, out));
-            let (m, cv) = &*gate;
-            *m.lock().unwrap() -= 1;
-            cv.notify_all();
-        }));
-    };
+    /// One frame owed to the peer, in arrival order, with its body
+    /// resolved or still owed by the handler.
+    struct Out<'a> {
+        ftype: FrameType,
+        cid: String,
+        rid: u64,
+        body: WireSubmission<'a>,
+    }
+    /// A connection-level frame: no identity, body known now.
+    fn control<'a>(ftype: FrameType, body: String) -> Out<'a> {
+        Out { ftype, cid: String::new(), rid: 0, body: WireSubmission::Done(body) }
+    }
+    /// The error frame that closes a faulted stream.
+    fn error_out<'a>(reason: &str) -> Out<'a> {
+        control(FrameType::Error, Response::error("", 400, reason).to_line())
+    }
 
     let mut caps = Caps { compress: false, window: proto2::DEFAULT_WINDOW };
     let mut acc: Vec<u8> = Vec::new();
-    'conn: loop {
+    let mut seg = crate::buf::SegBuf::new();
+    let mut scratch: Vec<u8> = Vec::new();
+    let mut outs: Vec<Out> = Vec::new();
+    let mut fatal = false;
+    loop {
         // Drain every complete frame already buffered.
-        loop {
+        while !fatal {
             let bait = acc.iter().take_while(|b| **b == b'\n').count();
             if bait > 0 {
                 acc.drain(..bait);
@@ -619,28 +544,18 @@ fn v2_connection(
                         FrameFault::Oversized(_) => handler.on_oversized(),
                         FrameFault::Corrupt(_) => handler.on_corrupt_frame(),
                     }
-                    let resp = Response::error("", 400, fault.reason());
-                    let _ = wtx.send((
-                        FrameType::Error,
-                        String::new(),
-                        0,
-                        resp.to_line().trim_end().to_string(),
-                    ));
-                    break 'conn;
+                    outs.push(error_out(fault.reason()));
+                    fatal = true;
+                    break;
                 }
             };
             let frame = match proto2::decode_frame(&acc) {
                 Ok((f, _)) => f,
                 Err(proto2::DecodeErr::Corrupt(reason)) => {
                     handler.on_corrupt_frame();
-                    let resp = Response::error("", 400, &reason);
-                    let _ = wtx.send((
-                        FrameType::Error,
-                        String::new(),
-                        0,
-                        resp.to_line().trim_end().to_string(),
-                    ));
-                    break 'conn;
+                    outs.push(error_out(&reason));
+                    fatal = true;
+                    break;
                 }
                 Err(proto2::DecodeErr::Incomplete) => unreachable!("length was checked"),
             };
@@ -653,251 +568,22 @@ fn v2_connection(
                 FrameType::Hello => {
                     if let Some(want) = proto2::parse_hello(&frame.body) {
                         caps = proto2::negotiate(&want);
-                        compress_on.store(caps.compress, Ordering::SeqCst);
                     }
-                    let _ = wtx.send((
-                        FrameType::HelloAck,
-                        String::new(),
-                        0,
-                        proto2::hello_body(&caps),
-                    ));
+                    outs.push(control(FrameType::HelloAck, proto2::hello_body(&caps)));
                 }
                 FrameType::Request => {
-                    // Respect the negotiated window: wait for a slot.
-                    {
-                        let (m, cv) = &*in_flight;
-                        let mut n = m.lock().unwrap();
-                        while *n >= caps.window as usize {
-                            // Workers are panic-contained, so a slot
-                            // always frees; the timeout is belt and
-                            // braces against a wedged handler.
-                            let (next, _) = cv
-                                .wait_timeout(n, Duration::from_millis(100))
-                                .unwrap();
-                            n = next;
-                        }
-                        *n += 1;
-                        if workers.len() < (caps.window as usize).min(v2_worker_budget())
-                            && *n > workers.len()
-                        {
-                            spawn_worker(&mut workers);
-                        }
-                    }
-                    // Drain sniff before dispatch, mirroring the v1 loop.
-                    if matches!(
-                        crate::proto::parse_request(&frame.body),
-                        Ok(crate::Request::Drain)
-                    ) {
-                        stop.store(true, Ordering::SeqCst);
-                    }
-                    let _ = work_tx.send((frame.cid, frame.rid, frame.body));
-                }
-                // A client has no business sending these; close loudly.
-                FrameType::HelloAck | FrameType::Response | FrameType::Error => {
-                    handler.on_corrupt_frame();
-                    let resp =
-                        Response::error("", 400, "unexpected frame type from a client");
-                    let _ = wtx.send((
-                        FrameType::Error,
-                        String::new(),
-                        0,
-                        resp.to_line().trim_end().to_string(),
-                    ));
-                    break 'conn;
-                }
-            }
-        }
-        match reader.fill_buf() {
-            Ok([]) => break 'conn, // clean close; a torn tail is dropped.
-            Ok(chunk) => {
-                let n = chunk.len();
-                acc.extend_from_slice(chunk);
-                reader.consume(n);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-            {
-                let idle = {
-                    let (m, _) = &*in_flight;
-                    *m.lock().unwrap() == 0
-                };
-                if idle {
-                    handler.on_idle_reap();
-                    break 'conn;
-                }
-            }
-            Err(_) => break 'conn,
-        }
-    }
-    // Teardown order matters: close the work queue, let workers flush
-    // their last responses, then close the writer queue and flush it.
-    drop(work_tx);
-    for w in workers {
-        let _ = w.join();
-    }
-    drop(wtx);
-    let _ = writer_handle.join();
-    Ok(())
-}
-
-/// The single-thread v2 loop, selected when [`v2_worker_budget`] is 1:
-/// decode every complete frame in the read burst, handle each inline,
-/// batch the response frames into one segmented buffer, and flush it
-/// with one write before the next read. No worker pool, no writer
-/// thread — on a machine with nothing to parallelize, the whole win of
-/// pipelining is one read and one write syscall per burst instead of
-/// one of each per request. Semantics match the pooled path: same
-/// negotiation, same envelope/dedup routing, same fault handling; only
-/// in-flight overlap (pointless on one core) is absent.
-fn v2_connection_inline(
-    handler: Arc<dyn LineHandler>,
-    mut reader: BufReader<TcpStream>,
-    mut writer: TcpStream,
-    client: &str,
-    stop: &AtomicBool,
-) -> io::Result<()> {
-    use crate::proto2::{self, Caps, FrameFault, FrameType};
-
-    handler.on_v2_connection();
-    writer.set_write_timeout(handler.idle_timeout()).ok();
-
-    /// One frame owed to the peer, in arrival order: either already
-    /// resolved, or an admitted request whose outcome the handler still
-    /// owes. Deferring the collection until the whole read burst is
-    /// admitted is the inline path's pipelining: the handler works the
-    /// burst's backlog without a per-request round trip.
-    enum Out<'a> {
-        Ready {
-            ftype: FrameType,
-            cid: String,
-            rid: u64,
-            body: String,
-        },
-        Pending {
-            cid: String,
-            rid: u64,
-            answer: Box<dyn FnOnce() -> String + 'a>,
-        },
-    }
-    /// A response frame's body: the handler's line, unwrapped if it
-    /// answered an enveloped request.
-    fn response_body(resp: &str) -> String {
-        match crate::proto::unwrap_envelope(resp) {
-            crate::proto::Envelope::Enveloped { body, .. } => body,
-            _ => resp.trim_end_matches('\n').to_string(),
-        }
-    }
-
-    let mut caps = Caps { compress: false, window: proto2::DEFAULT_WINDOW };
-    let mut acc: Vec<u8> = Vec::new();
-    let mut seg = crate::buf::SegBuf::new();
-    let mut scratch: Vec<u8> = Vec::new();
-    let mut outs: Vec<Out> = Vec::new();
-    let mut fatal = false;
-    'conn: loop {
-        let push = |ftype: FrameType, cid: &str, rid: u64, body: &str,
-                        seg: &mut crate::buf::SegBuf,
-                        scratch: &mut Vec<u8>,
-                        caps: &Caps| {
-            crate::buf::shrink_reusable(scratch);
-            let min = caps.compress.then_some(proto2::COMPRESS_MIN_BYTES);
-            proto2::encode_frame(scratch, ftype, cid, rid, body.trim_end_matches('\n'), min);
-            seg.extend(scratch);
-        };
-        // Drain every complete frame already buffered.
-        loop {
-            let bait = acc.iter().take_while(|b| **b == b'\n').count();
-            if bait > 0 {
-                acc.drain(..bait);
-            }
-            let total = match proto2::frame_len(&acc) {
-                Ok(Some(t)) if acc.len() >= t => t,
-                Ok(_) => break, // need more bytes.
-                Err(fault) => {
-                    match &fault {
-                        FrameFault::Oversized(_) => handler.on_oversized(),
-                        FrameFault::Corrupt(_) => handler.on_corrupt_frame(),
-                    }
-                    let resp = Response::error("", 400, fault.reason());
-                    outs.push(Out::Ready {
-                        ftype: FrameType::Error,
-                        cid: String::new(),
-                        rid: 0,
-                        body: resp.to_line().trim_end().to_string(),
-                    });
-                    fatal = true;
-                    break;
-                }
-            };
-            let frame = match proto2::decode_frame(&acc) {
-                Ok((f, _)) => f,
-                Err(proto2::DecodeErr::Corrupt(reason)) => {
-                    handler.on_corrupt_frame();
-                    let resp = Response::error("", 400, &reason);
-                    outs.push(Out::Ready {
-                        ftype: FrameType::Error,
-                        cid: String::new(),
-                        rid: 0,
-                        body: resp.to_line().trim_end().to_string(),
-                    });
-                    fatal = true;
-                    break;
-                }
-                Err(proto2::DecodeErr::Incomplete) => unreachable!("length was checked"),
-            };
-            acc.drain(..total);
-            handler.on_v2_frame();
-            match frame.ftype {
-                FrameType::Hello => {
-                    if let Some(want) = proto2::parse_hello(&frame.body) {
-                        caps = proto2::negotiate(&want);
-                    }
-                    outs.push(Out::Ready {
-                        ftype: FrameType::HelloAck,
-                        cid: String::new(),
-                        rid: 0,
-                        body: proto2::hello_body(&caps),
-                    });
-                }
-                FrameType::Request => {
-                    // Drain sniff before dispatch, mirroring the v1 loop.
-                    if matches!(
-                        crate::proto::parse_request(&frame.body),
-                        Ok(crate::Request::Drain)
-                    ) {
-                        stop.store(true, Ordering::SeqCst);
-                    }
-                    // A frame with a cid rides the envelope, and so the
-                    // handler's idempotency layer.
-                    let line = if frame.cid.is_empty() {
-                        format!("{}\n", frame.body)
-                    } else {
-                        crate::proto::wrap_envelope(&frame.cid, frame.rid, &frame.body)
-                    };
+                    sniff_drain(&frame.body, stop);
+                    // A non-empty cid is the request's identity.
                     let (cid, rid) = (frame.cid, frame.rid);
-                    outs.push(match handler.submit_wire(&line, client) {
-                        WireSubmission::Done(resp) => Out::Ready {
-                            ftype: FrameType::Response,
-                            cid,
-                            rid,
-                            body: response_body(&resp),
-                        },
-                        WireSubmission::Pending(answer) => Out::Pending { cid, rid, answer },
-                    });
+                    let ident = (!cid.is_empty()).then(|| Ident { cid: cid.clone(), rid });
+                    let body = handler.submit_wire(&frame.body, ident, client);
+                    outs.push(Out { ftype: FrameType::Response, cid, rid, body });
                 }
                 // A client has no business sending these; close loudly.
                 FrameType::HelloAck | FrameType::Response | FrameType::Error => {
                     handler.on_corrupt_frame();
-                    let resp = Response::error("", 400, "unexpected frame type from a client");
-                    outs.push(Out::Ready {
-                        ftype: FrameType::Error,
-                        cid: String::new(),
-                        rid: 0,
-                        body: resp.to_line().trim_end().to_string(),
-                    });
+                    outs.push(error_out("unexpected frame type from a client"));
                     fatal = true;
-                    break;
                 }
             }
         }
@@ -905,33 +591,24 @@ fn v2_connection_inline(
         // back on the wire, then collect outcomes in arrival order and
         // answer with one write burst per read burst.
         handler.flush_submitted();
-        for out in outs.drain(..) {
-            match out {
-                Out::Ready { ftype, cid, rid, body } => {
-                    push(ftype, &cid, rid, &body, &mut seg, &mut scratch, &caps);
-                }
-                Out::Pending { cid, rid, answer } => {
-                    let body = response_body(&answer());
-                    push(
-                        FrameType::Response,
-                        &cid,
-                        rid,
-                        &body,
-                        &mut seg,
-                        &mut scratch,
-                        &caps,
-                    );
-                }
-            }
+        let min = caps.compress.then_some(proto2::COMPRESS_MIN_BYTES);
+        for Out { ftype, cid, rid, body } in outs.drain(..) {
+            let body = match body {
+                WireSubmission::Done(body) => body,
+                WireSubmission::Pending(answer) => answer(),
+            };
+            crate::buf::shrink_reusable(&mut scratch);
+            proto2::encode_frame(&mut scratch, ftype, &cid, rid, body.trim_end_matches('\n'), min);
+            seg.extend(&scratch);
         }
         if !seg.is_empty() && seg.write_out(&mut writer).is_err() {
-            break 'conn;
+            break;
         }
         if fatal {
-            break 'conn;
+            break;
         }
         match reader.fill_buf() {
-            Ok([]) => break 'conn, // clean close; a torn tail is dropped.
+            Ok([]) => break, // clean close; a torn tail is dropped.
             Ok(chunk) => {
                 let n = chunk.len();
                 acc.extend_from_slice(chunk);
@@ -941,30 +618,15 @@ fn v2_connection_inline(
             Err(e)
                 if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
             {
-                // Serial handling means nothing is ever in flight here.
+                // Every outcome is collected before the read, so nothing
+                // is ever in flight here.
                 handler.on_idle_reap();
-                break 'conn;
+                break;
             }
-            Err(_) => break 'conn,
+            Err(_) => break,
         }
     }
     Ok(())
-}
-
-/// Handles one frame with panic containment: a panic anywhere in the
-/// request path becomes a structured `500`, never a dead connection.
-pub fn handle_contained(server: &Server, line: &str, client: &str) -> Response {
-    match catch_unwind(AssertUnwindSafe(|| server.handle_line(line, client))) {
-        Ok(r) => r,
-        Err(p) => Response::error(
-            &crate::proto::frame_id(line),
-            500,
-            &format!(
-                "panic contained in request loop: {}",
-                mcc_harness::pool::panic_text(p.as_ref())
-            ),
-        ),
-    }
 }
 
 #[cfg(test)]
@@ -1472,6 +1134,44 @@ mod tests {
         if let Ok(s) = Arc::try_unwrap(server) {
             s.shutdown();
         }
+    }
+
+    #[test]
+    fn identity_frames_are_admitted_not_executed_at_submission() {
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            queue_bound: 16,
+            ..ServeConfig::default()
+        });
+        let ident = |rid: u64| Some(Ident { cid: "burst".to_string(), rid });
+        let lines: Vec<String> = (0..8)
+            .map(|i| {
+                let pid = std::process::id();
+                let src = format!("; admit {i} pid {pid}\nreg a = R0\nconst a, {i}\nexit a\n");
+                proto::compile_line(&format!("b{i}"), "hm1", "yalll", &src)
+            })
+            .collect();
+        // The whole burst goes in before anything is collected.
+        let answers: Vec<_> = (0u64..)
+            .zip(&lines)
+            .map(|(rid, line)| match server.submit_wire(line, ident(rid), "t") {
+                WireSubmission::Pending(answer) => answer,
+                WireSubmission::Done(r) => panic!("request {rid} resolved at submission: {r}"),
+            })
+            .collect();
+        let duplicate = server.submit_wire(&lines[0], ident(0), "t");
+        let bodies: Vec<String> = answers.into_iter().map(|answer| answer()).collect();
+        let duplicate = match duplicate {
+            WireSubmission::Done(r) => r,
+            WireSubmission::Pending(answer) => answer(),
+        };
+        for body in &bodies {
+            assert_eq!(Response::field_num(body, "code"), Some(200), "{body}");
+        }
+        assert_eq!(duplicate, bodies[0], "the duplicate gets the original's bytes");
+        let c = server.counters();
+        assert_eq!(c.accepted.load(Ordering::Relaxed), 8);
+        assert_eq!(c.replayed.load(Ordering::Relaxed), 1);
     }
 
     #[test]

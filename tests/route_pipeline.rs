@@ -91,8 +91,7 @@ fn a_pipelined_burst_reaches_the_shards_in_fewer_writes_than_frames() {
         daemons.0.push(child);
         shards.push(addr);
     }
-    // The inline v2 loop, whatever the host's core count; no hedging,
-    // so every compile is exactly one frame.
+    // No hedging, so every compile is exactly one frame.
     let (router, raddr) = spawn_daemon(
         &[
             "route",
@@ -105,7 +104,7 @@ fn a_pipelined_burst_reaches_the_shards_in_fewer_writes_than_frames() {
             "--backend",
             &shards[1],
         ],
-        &[("MCC_V2_WORKERS", "1")],
+        &[],
     );
     daemons.0.push(router);
 
