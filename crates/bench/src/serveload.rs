@@ -30,6 +30,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mcc_harness::splitmix64;
 use mcc_machine::machines;
 use mcc_serve::{proto::Response, ServeConfig, Server};
 
@@ -175,15 +176,6 @@ fn corpus() -> Vec<Entry> {
 /// table wants `&'static str`. The corpus is built once per process.
 fn leak_name(name: &str) -> &'static str {
     Box::leak(name.to_string().into_boxed_str())
-}
-
-/// SplitMix64: the toolkit's standard seedable mixer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Which corpus entry request `k` compiles — a pure function of the seed.

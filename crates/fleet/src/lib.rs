@@ -33,7 +33,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mcc_harness::restart::{RestartDecision, RestartPolicy, RestartTracker};
-use mcc_serve::metrics;
 use mcc_serve::proto::{self, Response};
 
 /// How the supervisor runs one fleet.
@@ -261,50 +260,6 @@ impl Fleet {
     /// Snapshot of every shard's registry entry.
     pub fn snapshot(&self) -> Vec<ShardInfo> {
         self.registry.snapshot()
-    }
-
-    /// Rolls every Up shard's Prometheus exposition into one document
-    /// under a `shard="<name>"` label, prefixed by the fleet's own
-    /// per-shard lifecycle gauges. Shards that are down, restarting, or
-    /// quarantined simply drop out of this scrape — their absence is
-    /// the signal, not an error.
-    pub fn metrics_rollup(&self) -> String {
-        let mut out = String::new();
-        let snap = self.registry.snapshot();
-        out.push_str(
-            "# HELP mcc_fleet_shard_up Shard lifecycle state (1 = up).\n# TYPE mcc_fleet_shard_up gauge\n",
-        );
-        for s in &snap {
-            out.push_str(&format!(
-                "mcc_fleet_shard_up{{shard=\"{}\",state=\"{}\"}} {}\n",
-                metrics::sanitize_label(&s.name),
-                s.state.name(),
-                u8::from(s.state == ShardState::Up)
-            ));
-        }
-        out.push_str(
-            "# HELP mcc_fleet_shard_restarts_total Restart attempts per shard.\n# TYPE mcc_fleet_shard_restarts_total counter\n",
-        );
-        for s in &snap {
-            out.push_str(&format!(
-                "mcc_fleet_shard_restarts_total{{shard=\"{}\"}} {}\n",
-                metrics::sanitize_label(&s.name),
-                s.restarts
-            ));
-        }
-        for s in &snap {
-            if s.state != ShardState::Up {
-                continue;
-            }
-            let Some(addr) = &s.addr else { continue };
-            let frame = "{\"op\":\"metrics\",\"id\":\"fleet-metrics\"}\n";
-            if let Ok(reply) = child::line_call(addr, frame, Duration::from_secs(2)) {
-                if let Some(text) = Response::field_str(&reply, "text") {
-                    metrics::merge_with_label(&mut out, &text, "shard", &s.name);
-                }
-            }
-        }
-        out
     }
 
     /// SIGKILLs a shard's current child (chaos injection). The

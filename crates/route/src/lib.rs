@@ -12,7 +12,7 @@
 //!   interval; the pong carries the shard's `draining` flag, so a
 //!   draining backend counts as unhealthy and traffic moves off it
 //!   before it stops answering. Probe round-trip latency is recorded
-//!   per backend and surfaced by `stats`.
+//!   per backend and surfaced by `metrics`.
 //! * **Per-backend circuit breakers.** Probe and request outcomes feed
 //!   one [`Breaker`] per shard (closed → open → half-open, logical
 //!   ticks). An open backend is skipped at dispatch; a half-open one
@@ -46,14 +46,14 @@
 //!   every backend — strictly in that order, so no request is in flight
 //!   anywhere when the fleet goes down.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mcc_harness::{Admit, Breaker, BreakerConfig};
-use mcc_serve::metrics::{merge_with_label, sanitize_label};
+use mcc_serve::counter_field;
+use mcc_serve::metrics::{self, merge_with_label, sanitize_label, Series};
 use mcc_serve::proto::{frame_id, parse_request, CompileReq, Ident, JoinReq, Request, Response};
 use mcc_serve::tcp::{LineHandler, WireSubmission};
 
@@ -127,8 +127,8 @@ impl Default for RouteConfig {
     }
 }
 
-/// Router service counters (all relaxed: they feed `stats`, not control
-/// flow).
+/// Router service counters (all relaxed: they feed `stats` and
+/// `metrics`, not control flow).
 #[derive(Debug, Default)]
 pub struct RouteCounters {
     /// Compile requests routed (admitted past the drain gate).
@@ -610,8 +610,10 @@ impl Router {
                 );
                 r.to_line()
             }
-            Ok(Request::Stats) => self.stats_response(&frame_id(line)).to_line(),
-            Ok(Request::Metrics) => self.metrics_response(&frame_id(line)).to_line(),
+            Ok(Request::Stats) => metrics::stats(&frame_id(line), SERIES, self).to_line(),
+            Ok(Request::Metrics) => {
+                metrics::response(&frame_id(line), &self.metrics_text()).to_line()
+            }
             Ok(Request::Drain) => {
                 let inflight = self.drain();
                 let mut r = Response::new(&frame_id(line), 200);
@@ -735,168 +737,19 @@ impl Router {
         Ok(flight)
     }
 
-    /// Renders the router `stats` response: one JSON blob aggregating
-    /// the routing counters with, per backend, the served count, the
-    /// breaker state, and the probe health (last round-trip micros,
-    /// ok/fail totals).
-    fn stats_response(&self, id: &str) -> Response {
-        let c = &self.counters;
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mut r = Response::new(id, 200);
-        r.push_str("role", "route");
-        r.push_num("routed", load(&c.routed));
-        r.push_num("failovers", load(&c.failovers));
-        r.push_num("hedges", load(&c.hedges));
-        r.push_num("hedge_wins", load(&c.hedge_wins));
-        r.push_num("hedge_losses", load(&c.hedge_losses));
-        r.push_num("no_backend", load(&c.no_backend));
-        r.push_num("hot_routed", load(&c.hot_routed));
-        r.push_num("drain_rejects", load(&c.drain_rejects));
-        r.push_num("bad_requests", load(&c.bad_requests));
-        r.push_num("probe_failures", load(&c.probe_failures));
-        r.push_num("idle_reaped", load(&c.idle_reaped));
-        r.push_num("joins", load(&c.joins));
-        r.push_num("leaves", load(&c.leaves));
-        r.push_num("corrupt_frames", load(&c.corrupt_frames));
-        r.push_num("oversized_frames", load(&c.oversized_frames));
-        r.push_num("v2_connections", load(&c.v2_connections));
-        r.push_num("v2_frames", load(&c.v2_frames));
-        let m = self.membership.read().unwrap();
-        r.push_num("backends", m.slots.len() as u64);
-        r.push_str(
-            "members",
-            &m.slots
-                .iter()
-                .map(|s| s.name.as_str())
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        for s in &m.slots {
-            r.push_num(&format!("served_{}", s.name), s.served.load(Ordering::Relaxed));
-            r.push_str(
-                &format!("breaker_{}", s.name),
-                s.breaker.lock().unwrap().state_name(),
-            );
-            r.push_num(
-                &format!("probe_rtt_us_{}", s.name),
-                s.probe_rtt_us.load(Ordering::Relaxed),
-            );
-            r.push_num(&format!("probe_ok_{}", s.name), s.probe_ok.load(Ordering::Relaxed));
-            r.push_num(
-                &format!("probe_fail_{}", s.name),
-                s.probe_fail.load(Ordering::Relaxed),
-            );
-        }
-        let slots: Vec<Arc<Slot>> = m.slots.clone();
-        drop(m);
-        r.push_str(
-            "draining",
-            if self.is_draining() { "true" } else { "false" },
-        );
-        // Per-tenant rollup: ask every live backend for its stats and
-        // sum the QoS served counters. Pre-QoS shards answer without
-        // the fields and simply drop out of the sum.
-        let mut tenants: BTreeMap<String, u64> = BTreeMap::new();
-        for s in &slots {
-            if !s.breaker.lock().unwrap().is_closed() {
-                continue;
-            }
-            if let Ok(reply) = s.transport().call("{\"op\":\"stats\"}\n", "route-stats") {
-                for (t, n) in tenant_served_from_stats(&reply) {
-                    *tenants.entry(t).or_insert(0) += n;
-                }
-            }
-        }
-        r.push_str(
-            "tenants",
-            &tenants
-                .keys()
-                .map(String::as_str)
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        for (t, n) in &tenants {
-            r.push_num(&format!("tenant_served_{t}"), *n);
-        }
-        r
-    }
-
-    /// Answers the wire `metrics` op: the merged exposition as a `text`
-    /// field, mirroring the shard-side response shape.
-    fn metrics_response(&self, id: &str) -> Response {
-        let mut r = Response::new(id, 200);
-        r.push_str("format", "prometheus-text");
-        r.push_str("text", &self.metrics_text());
-        r
-    }
-
-    /// Renders the router's own Prometheus exposition, then fans the
-    /// `metrics` op out to every live backend and folds each shard's
-    /// exposition in under a `shard="<name>"` label.
+    /// Renders the router's registry (`SERIES`) and its per-backend
+    /// family (`BACKEND_SERIES`), then fans the `metrics` op out to
+    /// every live backend and folds each shard's exposition in under a
+    /// `shard="<name>"` label.
     pub fn metrics_text(&self) -> String {
-        let c = &self.counters;
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let mut out = String::new();
-        for (name, help, val) in [
-            ("mcc_route_routed_total", "Compile requests routed.", load(&c.routed)),
-            (
-                "mcc_route_failovers_total",
-                "Requests re-fired at a ring successor.",
-                load(&c.failovers),
-            ),
-            ("mcc_route_hedges_total", "Hedges fired.", load(&c.hedges)),
-            (
-                "mcc_route_no_backend_total",
-                "Requests with no live backend.",
-                load(&c.no_backend),
-            ),
-            (
-                "mcc_route_drain_rejects_total",
-                "Requests rejected while draining.",
-                load(&c.drain_rejects),
-            ),
-            (
-                "mcc_route_pipe_frames_total",
-                "Request frames sent on shared shard connections.",
-                load(&c.pipe_frames),
-            ),
-            (
-                "mcc_route_pipe_writes_total",
-                "Socket writes that carried shared-connection frames.",
-                load(&c.pipe_writes),
-            ),
-            (
-                "mcc_route_pipe_fallbacks_total",
-                "Requests handed from a torn shared connection to the lockstep fallback.",
-                load(&c.pipe_fallbacks),
-            ),
-        ] {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {val}\n"
-            ));
-        }
+        metrics::render(&mut out, "mcc_route", SERIES, &[(String::new(), self)]);
         let slots: Vec<Arc<Slot>> = self.membership.read().unwrap().slots.clone();
-        out.push_str(
-            "# HELP mcc_route_backend_up Breaker state per backend (1 = closed).\n# TYPE mcc_route_backend_up gauge\n",
-        );
-        for s in &slots {
-            let up = s.breaker.lock().unwrap().is_closed();
-            out.push_str(&format!(
-                "mcc_route_backend_up{{backend=\"{}\"}} {}\n",
-                sanitize_label(&s.name),
-                u8::from(up),
-            ));
-        }
-        out.push_str(
-            "# HELP mcc_route_backend_served_total Requests served per backend.\n# TYPE mcc_route_backend_served_total counter\n",
-        );
-        for s in &slots {
-            out.push_str(&format!(
-                "mcc_route_backend_served_total{{backend=\"{}\"}} {}\n",
-                sanitize_label(&s.name),
-                s.served.load(Ordering::Relaxed),
-            ));
-        }
+        let rows: Vec<(String, &Slot)> = slots
+            .iter()
+            .map(|s| (format!("backend=\"{}\"", sanitize_label(&s.name)), &**s))
+            .collect();
+        metrics::render(&mut out, "mcc_route_backend", BACKEND_SERIES, &rows);
         for s in &slots {
             if !s.breaker.lock().unwrap().is_closed() {
                 continue;
@@ -911,24 +764,55 @@ impl Router {
     }
 }
 
-/// Pulls the per-tenant served counters out of one backend's `stats`
-/// line. Peers predating the QoS fields lack them entirely: they
-/// contribute nothing, and that absence is not an error — the same
-/// back-compat rule as the four-field cache stats parse.
-pub fn tenant_served_from_stats(line: &str) -> Vec<(String, u64)> {
-    let Some(csv) = Response::field_str(line, "tenants") else {
-        return Vec::new();
-    };
-    csv.split(',')
-        .filter(|t| !t.is_empty())
-        .map(|t| {
-            (
-                t.to_string(),
-                Response::field_num(line, &format!("tenant_served_{t}")).unwrap_or(0),
-            )
-        })
-        .collect()
-}
+/// The router's scalar series: what `stats` answers and what `metrics`
+/// renders as `mcc_route_<name>`.
+const SERIES: &[Series<Router>] = &[
+    counter_field!(routed, "Compile requests routed."),
+    counter_field!(failovers, "Requests re-fired at a ring successor."),
+    counter_field!(hedges, "Hedges fired."),
+    counter_field!(hedge_wins, "Hedged requests the hedge won."),
+    counter_field!(hedge_losses, "Hedged requests the primary still won."),
+    counter_field!(no_backend, "Requests with no live backend."),
+    counter_field!(hot_routed, "Requests routed by hot-key rotation."),
+    counter_field!(drain_rejects, "Requests rejected while draining."),
+    counter_field!(bad_requests, "Malformed frames answered 400."),
+    counter_field!(probe_failures, "Health probes that failed."),
+    counter_field!(idle_reaped, "Idle connections closed by the reaper."),
+    counter_field!(joins, "Join frames applied."),
+    counter_field!(leaves, "Leave frames applied."),
+    counter_field!(corrupt_frames, "Frames that failed structural or checksum validation."),
+    counter_field!(oversized_frames, "Inbound frames past the frame size limit."),
+    counter_field!(v2_connections, "Client connections that negotiated binary protocol v2."),
+    counter_field!(v2_frames, "Binary v2 frames decoded."),
+    counter_field!(pipe_frames, "Request frames sent on shared shard connections."),
+    counter_field!(pipe_writes, "Socket writes that carried shared-connection frames."),
+    counter_field!(
+        pipe_fallbacks,
+        "Requests handed from a torn shared connection to the lockstep fallback."
+    ),
+    Series::gauge("backends", "Backends in the ring.", |r| {
+        r.membership.read().unwrap().slots.len() as u64
+    }),
+    Series::gauge("draining", "1 while the router is draining.", |r| u64::from(r.is_draining())),
+];
+
+/// The per-backend family, rendered as `mcc_route_backend_<name>` with a
+/// `backend` label.
+const BACKEND_SERIES: &[Series<Slot>] = &[
+    Series::counter("served", "Requests served per backend.", |s| s.served.load(Ordering::Relaxed)),
+    Series::gauge("up", "Breaker state per backend (1 = closed).", |s| {
+        u64::from(s.breaker.lock().unwrap().is_closed())
+    }),
+    Series::gauge("probe_rtt_us", "Last successful probe round trip, microseconds.", |s| {
+        s.probe_rtt_us.load(Ordering::Relaxed)
+    }),
+    Series::counter("probe_ok", "Successful health probes.", |s| {
+        s.probe_ok.load(Ordering::Relaxed)
+    }),
+    Series::counter("probe_fail", "Failed health probes.", |s| {
+        s.probe_fail.load(Ordering::Relaxed)
+    }),
+];
 
 impl RouteCounters {
     /// Bumps one counter.
@@ -1331,12 +1215,55 @@ mod tests {
         assert_eq!(Response::field_num(&bad, "code"), Some(400));
         let stats = router.handle_line("{\"op\":\"stats\"}\n", "t");
         assert_eq!(Response::field_num(&stats, "bad_requests"), Some(1));
-        assert!(Response::field_num(&stats, "served_b0").is_some());
-        assert!(stats.contains("breaker_b1"));
-        assert_eq!(Response::field_str(&stats, "members").as_deref(), Some("b0,b1"));
-        assert!(Response::field_num(&stats, "probe_rtt_us_b0").is_some());
+        assert_eq!(Response::field_num(&stats, "backends"), Some(2));
         assert!(Response::field_num(&stats, "hedge_losses").is_some());
         assert!(Response::field_num(&stats, "joins").is_some());
+        // Per-backend numbers live in `metrics`, one labelled sample per
+        // member.
+        let text = router.metrics_text();
+        mcc_serve::metrics::validate(&text).unwrap();
+        for family in ["served_total", "up", "probe_rtt_us", "probe_ok_total", "probe_fail_total"] {
+            let members: Vec<&str> = text
+                .lines()
+                .filter_map(|l| l.strip_prefix(&format!("mcc_route_backend_{family}{{backend=\"")))
+                .filter_map(|l| l.split('"').next())
+                .collect();
+            assert_eq!(members, ["b0", "b1"], "{family}: {text}");
+        }
+        assert!(text.contains("mcc_route_backend_served_total{backend=\"b0\"} 0\n"), "{text}");
+        assert!(text.contains("mcc_route_backend_up{backend=\"b1\"} 1\n"), "{text}");
+    }
+
+    /// A shard that counts the blocking calls it receives.
+    struct Counting {
+        inner: Arc<InProcBackend>,
+        calls: AtomicU64,
+    }
+
+    impl Backend for Counting {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn call(&self, line: &str, client: &str) -> Result<String, String> {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            self.inner.call(line, client)
+        }
+        fn submit(self: Arc<Self>, line: String, ident: Ident, done: Done) {
+            Arc::clone(&self.inner).submit(line, ident, done);
+        }
+    }
+
+    #[test]
+    fn stats_is_answered_without_calling_a_backend() {
+        let server = Arc::new(Server::start(ServeConfig::default()));
+        let shard = Arc::new(Counting {
+            inner: Arc::new(InProcBackend::new("b0", server)),
+            calls: AtomicU64::new(0),
+        });
+        let router = Router::new(vec![Arc::clone(&shard) as Arc<dyn Backend>], no_hedge());
+        let stats = router.handle_line("{\"op\":\"stats\"}\n", "t");
+        assert_eq!(Response::field_num(&stats, "backends"), Some(1), "{stats}");
+        assert_eq!(shard.calls.load(Ordering::SeqCst), 0, "stats called a backend");
     }
 
     #[test]

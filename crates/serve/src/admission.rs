@@ -44,8 +44,8 @@ pub fn tier_for_depth(depth: usize, bound: usize) -> Option<u8> {
 }
 
 /// Monotonic service counters, all relaxed atomics (they feed the
-/// `stats` endpoint and the drain summary, not any control decision that
-/// needs ordering).
+/// `stats` and `metrics` ops and the drain summary, not any control
+/// decision that needs ordering).
 #[derive(Debug, Default)]
 pub struct ServeCounters {
     /// Compile requests admitted into the queue.
@@ -93,19 +93,12 @@ pub struct ServeCounters {
     /// Requests shed `503` at the class-scaled bound, by class
     /// (interactive / batch / background) — background sheds first.
     pub shed_by_class: [AtomicU64; 3],
-    /// Compile requests answered `200`, by class.
-    pub served_by_class: [AtomicU64; 3],
 }
 
 impl ServeCounters {
     /// Bumps one counter.
     pub fn bump(&self, c: &AtomicU64) {
         c.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total requests served at any degraded tier.
-    pub fn degraded_total(&self) -> u64 {
-        self.degraded.iter().map(|d| d.load(Ordering::Relaxed)).sum()
     }
 }
 

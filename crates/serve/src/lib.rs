@@ -42,6 +42,7 @@ use std::time::{Duration, Instant};
 use mcc_cache::Persist;
 use mcc_core::{Compiler, CompilerOptions, SourceLang};
 use mcc_harness::{BreakerBank, BreakerConfig, PoolHandle, TaskOutcome, WorkerPool};
+use metrics::Series;
 
 pub mod admission;
 pub mod buf;
@@ -311,6 +312,72 @@ fn artifact_checksum(art: &mcc_core::Artifact) -> u64 {
     mcc_cache::disk::fnv1a(mcc_cache::serialize_artifact(art).as_bytes())
 }
 
+/// The server's scalar series: what `stats` answers and what `metrics`
+/// renders as `mcc_serve_<name>` ahead of the labelled families.
+const SERIES: &[Series<Inner>] = &[
+    Series::gauge("queue_depth", "Admitted-but-unresolved compile requests.", |i| {
+        i.inflight.load(Ordering::SeqCst) as u64
+    }),
+    Series::gauge("queue_bound", "Admitted-but-unresolved requests past which all shed.", |i| {
+        i.cfg.queue_bound as u64
+    }),
+    Series::gauge("workers", "Worker threads compiling requests.", |i| i.cfg.workers as u64),
+    Series::gauge("wfq_depth", "Admitted requests still queued in the weighted-fair queue.", |i| {
+        i.qos.lock().unwrap().wfq.len() as u64
+    }),
+    Series::gauge("draining", "1 while the server is draining.", |i| {
+        u64::from(i.draining.load(Ordering::SeqCst))
+    }),
+    Series::gauge("uptime_ms", "Milliseconds since the server started.", |i| {
+        i.started.elapsed().as_millis() as u64
+    }),
+    counter_field!(accepted, "Compile requests admitted."),
+    counter_field!(completed, "Admitted requests answered 200."),
+    counter_field!(compile_errors, "Admitted requests answered 400 with a compile error."),
+    counter_field!(bad_requests, "Frames rejected 400 before admission."),
+    counter_field!(rate_limited, "Requests rejected 429."),
+    counter_field!(shed, "Requests shed 503 at the class bound."),
+    counter_field!(quota_shed, "Requests shed 503 by their tenant's queued quota."),
+    counter_field!(breaker_rejects, "Requests rejected 503 by an open breaker."),
+    counter_field!(drain_rejects, "Requests rejected 503 while draining."),
+    counter_field!(deadline_expired, "Admitted requests answered 504."),
+    counter_field!(panics, "Contained pipeline panics."),
+    counter_field!(idle_reaped, "Idle connections closed by the reaper."),
+    counter_field!(replayed, "Duplicate requests answered from the idempotency window."),
+    counter_field!(oversized_frames, "Inbound frames past the frame size limit."),
+    counter_field!(corrupt_frames, "Frames that failed structural or checksum validation."),
+    counter_field!(v2_connections, "Connections that negotiated binary protocol v2."),
+    counter_field!(v2_frames, "Binary v2 frames decoded."),
+    Series::counter("degraded_t1", "Requests admitted at pressure tier 1.", |i| {
+        i.counters.degraded[0].load(Ordering::Relaxed)
+    }),
+    Series::counter("degraded_t2", "Requests admitted at pressure tier 2.", |i| {
+        i.counters.degraded[1].load(Ordering::Relaxed)
+    }),
+    Series::counter("degraded_t3", "Requests admitted at pressure tier 3.", |i| {
+        i.counters.degraded[2].load(Ordering::Relaxed)
+    }),
+    Series::counter("shed_interactive", "Interactive requests shed 503 at the class bound.", |i| {
+        i.counters.shed_by_class[Class::Interactive.idx()].load(Ordering::Relaxed)
+    }),
+    Series::counter("shed_batch", "Batch requests shed 503 at the class bound.", |i| {
+        i.counters.shed_by_class[Class::Batch.idx()].load(Ordering::Relaxed)
+    }),
+    Series::counter("shed_background", "Background requests shed 503 at the class bound.", |i| {
+        i.counters.shed_by_class[Class::Background.idx()].load(Ordering::Relaxed)
+    }),
+    Series::counter("rate_buckets_evicted", "Per-client rate buckets evicted by the cap.", |i| {
+        i.limiter.evicted()
+    }),
+    Series::counter("breaker_trips", "Times a per-machine breaker tripped open.", |i| {
+        i.breakers.lock().unwrap().0.trips()
+    }),
+    Series::counter("cache_hits", "Compile cache hits.", |_| mcc_cache::global().counters().hits()),
+    Series::counter("cache_misses", "Compile cache misses.", |_| {
+        mcc_cache::global().counters().misses
+    }),
+];
+
 impl Server {
     /// Starts the worker pool and the supervisor thread.
     pub fn start(cfg: ServeConfig) -> Server {
@@ -473,14 +540,10 @@ impl Server {
                 Submitted::Done(r)
             }
             Request::Stats => {
-                let mut r = self.stats_response();
-                r.id = proto::frame_id(line);
-                Submitted::Done(r)
+                Submitted::Done(metrics::stats(&proto::frame_id(line), SERIES, &self.inner))
             }
             Request::Metrics => {
-                let mut r = self.metrics_response();
-                r.id = proto::frame_id(line);
-                Submitted::Done(r)
+                Submitted::Done(metrics::response(&proto::frame_id(line), &self.metrics_text()))
             }
             Request::Drain => {
                 self.begin_drain();
@@ -702,147 +765,23 @@ impl Server {
         Submitted::Pending(rx)
     }
 
-    /// Renders the `stats` response: queue depth, shed/degrade/breaker
-    /// counters, and the cache hit rate.
-    fn stats_response(&self) -> Response {
-        let inner = &*self.inner;
-        let c = &inner.counters;
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mut r = Response::new("", 200);
-        r.push_num("queue_depth", inner.inflight.load(Ordering::SeqCst) as u64);
-        r.push_num("queue_bound", inner.cfg.queue_bound as u64);
-        r.push_num("workers", inner.cfg.workers as u64);
-        r.push_num("accepted", load(&c.accepted));
-        r.push_num("completed", load(&c.completed));
-        r.push_num("compile_errors", load(&c.compile_errors));
-        r.push_num("bad_requests", load(&c.bad_requests));
-        r.push_num("rate_limited", load(&c.rate_limited));
-        r.push_num("shed", load(&c.shed));
-        r.push_num("breaker_rejects", load(&c.breaker_rejects));
-        r.push_num("drain_rejects", load(&c.drain_rejects));
-        r.push_num("deadline_expired", load(&c.deadline_expired));
-        r.push_num("panics", load(&c.panics));
-        r.push_num("idle_reaped", load(&c.idle_reaped));
-        r.push_num("replayed", load(&c.replayed));
-        r.push_num("oversized_frames", load(&c.oversized_frames));
-        r.push_num("corrupt_frames", load(&c.corrupt_frames));
-        r.push_num("v2_connections", load(&c.v2_connections));
-        r.push_num("v2_frames", load(&c.v2_frames));
-        r.push_num("degraded_t1", load(&c.degraded[0]));
-        r.push_num("degraded_t2", load(&c.degraded[1]));
-        r.push_num("degraded_t3", load(&c.degraded[2]));
-        // QoS fields (absent from pre-WFQ servers; aggregating peers
-        // must treat them as 0 when missing — see the route crate's
-        // cross-version parse test).
-        r.push_num("rate_buckets_evicted", inner.limiter.evicted());
-        r.push_num("quota_shed", load(&c.quota_shed));
-        r.push_num("wfq_depth", inner.qos.lock().unwrap().wfq.len() as u64);
-        for class in Class::ALL {
-            r.push_num(&format!("shed_{}", class.name()), load(&c.shed_by_class[class.idx()]));
-            r.push_num(
-                &format!("class_served_{}", class.name()),
-                load(&c.served_by_class[class.idx()]),
-            );
-        }
-        let by_tenant = inner.metrics.served_by_tenant();
-        r.push_str(
-            "tenants",
-            &by_tenant.iter().map(|(t, _)| t.as_str()).collect::<Vec<_>>().join(","),
-        );
-        for (t, n) in &by_tenant {
-            r.push_num(&format!("tenant_served_{t}"), *n);
-        }
-        let breakers = inner.breakers.lock().unwrap();
-        r.push_num("breaker_trips", breakers.0.trips());
-        r.push_str("breakers_open", &breakers.0.degraded_keys().join(","));
-        drop(breakers);
-        let cache = mcc_cache::global().counters();
-        let lookups = cache.hits() + cache.misses;
-        r.push_num("cache_hits", cache.hits());
-        r.push_num("cache_misses", cache.misses);
-        r.push_num(
-            "cache_hit_permille",
-            (cache.hits() * 1000).checked_div(lookups).unwrap_or(0),
-        );
-        r.push_str(
-            "draining",
-            if inner.draining.load(Ordering::SeqCst) { "true" } else { "false" },
-        );
-        r
-    }
-
-    /// Renders the `metrics` response: the full Prometheus text
-    /// exposition in the `text` field (JSON-escaped; clients unescape
-    /// via [`Response::field_str`]).
-    fn metrics_response(&self) -> Response {
-        let mut r = Response::new("", 200);
-        r.push_str("format", "prometheus-text");
-        r.push_str("text", &self.metrics_text());
-        r
-    }
-
-    /// The raw Prometheus text exposition for this server.
+    /// The raw Prometheus text exposition for this server: the registry
+    /// (`SERIES`), then the per-tenant/class families and the open
+    /// per-machine breakers.
     pub fn metrics_text(&self) -> String {
         let inner = &*self.inner;
-        let c = &inner.counters;
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let gauge = |name: &str, help: &str, v: u64| {
-            (name.to_string(), help.to_string(), "gauge", String::new(), v)
-        };
-        let counter = |name: &str, help: &str, v: u64| {
-            (name.to_string(), help.to_string(), "counter", String::new(), v)
-        };
-        let cache = mcc_cache::global().counters();
-        let extra = vec![
-            gauge(
-                "mcc_serve_queue_depth",
-                "Admitted-but-unresolved compile requests.",
-                inner.inflight.load(Ordering::SeqCst) as u64,
-            ),
-            gauge(
-                "mcc_serve_wfq_depth",
-                "Admitted requests still queued in the weighted-fair queue.",
-                inner.qos.lock().unwrap().wfq.len() as u64,
-            ),
-            gauge(
-                "mcc_serve_draining",
-                "1 while the server is draining.",
-                u64::from(inner.draining.load(Ordering::SeqCst)),
-            ),
-            gauge(
-                "mcc_serve_uptime_ms",
-                "Milliseconds since the server started.",
-                inner.started.elapsed().as_millis() as u64,
-            ),
-            counter("mcc_serve_accepted_total", "Compile requests admitted.", load(&c.accepted)),
-            counter("mcc_serve_completed_total", "Admitted requests answered 200.", load(&c.completed)),
-            counter("mcc_serve_shed_total", "Requests shed 503 at the class bound.", load(&c.shed)),
-            counter(
-                "mcc_serve_quota_shed_total",
-                "Requests shed 503 by their tenant's queued quota.",
-                load(&c.quota_shed),
-            ),
-            counter("mcc_serve_rate_limited_total", "Requests rejected 429.", load(&c.rate_limited)),
-            counter(
-                "mcc_serve_breaker_rejects_total",
-                "Requests rejected 503 by an open breaker.",
-                load(&c.breaker_rejects),
-            ),
-            counter(
-                "mcc_serve_deadline_expired_total",
-                "Admitted requests answered 504.",
-                load(&c.deadline_expired),
-            ),
-            counter("mcc_serve_panics_total", "Contained pipeline panics.", load(&c.panics)),
-            counter(
-                "mcc_serve_rate_buckets_evicted_total",
-                "Per-client rate buckets evicted by the cap.",
-                inner.limiter.evicted(),
-            ),
-            counter("mcc_serve_cache_hits_total", "Compile cache hits.", cache.hits()),
-            counter("mcc_serve_cache_misses_total", "Compile cache misses.", cache.misses),
-        ];
-        inner.metrics.render(&extra)
+        let mut out = String::new();
+        metrics::render(&mut out, "mcc_serve", SERIES, &[(String::new(), inner)]);
+        inner.metrics.render(&mut out);
+        let name = "mcc_serve_breaker_open";
+        metrics::header(&mut out, name, "gauge", "Machines whose breaker is not closed.");
+        for machine in inner.breakers.lock().unwrap().0.degraded_keys() {
+            out.push_str(&format!(
+                "{name}{{machine=\"{}\"}} 1\n",
+                metrics::sanitize_label(&machine)
+            ));
+        }
+        out
     }
 
     /// Current counters (for the in-process bench and tests).
@@ -1066,8 +1005,8 @@ fn dispatch_ready(inner: &Inner) {
     }
 }
 
-/// Records one resolved request in the per-class counters, the metrics
-/// registry, and (when configured) the trace journal.
+/// Records one resolved request in the metrics registry and (when
+/// configured) the trace journal.
 #[allow(clippy::too_many_arguments)]
 fn observe(
     inner: &Inner,
@@ -1079,11 +1018,7 @@ fn observe(
     tier: u8,
     us: u64,
 ) {
-    if code == 200 {
-        inner.counters.bump(&inner.counters.served_by_class[class.idx()]);
-        inner.metrics.record_tier(class, tier);
-    }
-    inner.metrics.record(tenant, class, code, Some(us));
+    inner.metrics.record(tenant, class, code, tier, us);
     if let Some(tw) = &inner.trace {
         tw.lock().unwrap().record(&trace::TraceRecord {
             seq: 0, // stamped by the writer

@@ -1,13 +1,24 @@
-//! Prometheus-style metrics for the serve path: per-tenant/class
+//! Prometheus-style metrics for the serve path: the scalar series
+//! registry that both `stats` and `metrics` render from, per-tenant/class
 //! request counters, log-bucketed latency histograms, per-class tier
 //! counters, and the text renderer behind the `metrics` op.
 //!
+//! ## One registry per process
+//!
+//! A process declares its scalar series once, as a list of [`Series`]:
+//! bare name, help text, counter or gauge, and a function that reads
+//! the value from the process state when an op renders it. `stats` is
+//! that list as flat JSON under each bare name ([`stats`]); `metrics`
+//! renders the same list as `mcc_<role>_<name>` ([`render`]), followed
+//! by the labelled families, which exist only in `metrics`: per tenant
+//! and class here ([`QosMetrics`]), per backend in `route`.
+//!
 //! ## Naming
 //!
-//! Everything is prefixed `mcc_serve_` (`mcc_route_` / `mcc_fleet_` for
-//! the aggregators) and follows the Prometheus conventions: counters end
-//! in `_total`, histograms expose `_bucket{le=…}` / `_sum` / `_count`,
-//! gauges are bare. Latency buckets are powers of two in microseconds
+//! Everything is prefixed `mcc_serve_` (`mcc_route_` for the router) and
+//! follows the Prometheus conventions: counters end in `_total`,
+//! histograms expose `_bucket{le=…}` / `_sum` / `_count`, gauges are
+//! bare. Latency buckets are powers of two in microseconds
 //! (`le="1"`, `"2"`, … `"16777216"`, `"+Inf"`) — log-bucketed so one
 //! fixed array spans sub-microsecond cache hits to multi-second
 //! deadline-bound compiles with bounded error.
@@ -20,14 +31,15 @@
 //! the metrics surface without bound while still accounting every
 //! request somewhere.
 //!
-//! The module also carries the two text-level helpers the aggregation
-//! layers share: [`validate`] (the shape check CI and the diurnal bench
-//! gate on) and [`merge_with_label`] (how `route`/`fleet` fold a
-//! shard's exposition into their own under a `shard="…"` label).
+//! The module also carries the two text-level helpers the router uses:
+//! [`validate`] (the shape check the tests and the diurnal bench gate
+//! on) and [`merge_with_label`] (how `route` folds a shard's exposition
+//! into its own under a `shard="…"` label).
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
+use crate::proto::Response;
 use crate::qos::Class;
 
 /// Cap on distinct tenant label values; the rest fold into `"other"`.
@@ -35,6 +47,98 @@ pub const MAX_TENANT_LABELS: usize = 64;
 
 /// The reserved overflow tenant label.
 pub const OVERFLOW_TENANT: &str = "other";
+
+/// Whether a scalar series only rises or is a level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// Monotonic; its metric name ends in `_total`.
+    Counter,
+    /// A level, read as is.
+    Gauge,
+}
+
+/// One scalar series of a process's registry: the bare name `stats`
+/// answers under, the help text `metrics` prints, its kind, and how to
+/// read its value from the process state `S` at render time.
+pub struct Series<S> {
+    /// The `stats` field, and the metric name after the role prefix.
+    name: &'static str,
+    /// The `# HELP` text.
+    help: &'static str,
+    kind: Kind,
+    /// Reads the current value.
+    read: fn(&S) -> u64,
+}
+
+impl<S> Series<S> {
+    /// A counter series.
+    pub const fn counter(name: &'static str, help: &'static str, read: fn(&S) -> u64) -> Self {
+        Series { name, help, kind: Kind::Counter, read }
+    }
+
+    /// A gauge series.
+    pub const fn gauge(name: &'static str, help: &'static str, read: fn(&S) -> u64) -> Self {
+        Series { name, help, kind: Kind::Gauge, read }
+    }
+}
+
+/// A counter series named after, and read from, the `AtomicU64` field of
+/// the same name in the process state's `counters`.
+#[macro_export]
+macro_rules! counter_field {
+    ($field:ident, $help:expr) => {
+        $crate::metrics::Series::counter(stringify!($field), $help, |s| {
+            s.counters.$field.load(::std::sync::atomic::Ordering::Relaxed)
+        })
+    };
+}
+
+/// The `stats` answer: every series of `list` as a flat JSON number
+/// under its bare name.
+pub fn stats<S>(id: &str, list: &[Series<S>], state: &S) -> Response {
+    let mut r = Response::new(id, 200);
+    for s in list {
+        r.push_num(s.name, (s.read)(state));
+    }
+    r
+}
+
+/// Appends `list` to an exposition: each series once as
+/// `<prefix>_<name>` (counters end in `_total`), with one sample per row.
+/// A row's label is `key="value"` text, or empty for an unlabelled
+/// sample.
+pub fn render<S>(out: &mut String, prefix: &str, list: &[Series<S>], rows: &[(String, &S)]) {
+    for s in list {
+        let (suffix, ty) = match s.kind {
+            Kind::Counter => ("_total", "counter"),
+            Kind::Gauge => ("", "gauge"),
+        };
+        let name = format!("{prefix}_{}{suffix}", s.name);
+        header(out, &name, ty, s.help);
+        for (label, state) in rows {
+            let v = (s.read)(state);
+            if label.is_empty() {
+                out.push_str(&format!("{name} {v}\n"));
+            } else {
+                out.push_str(&format!("{name}{{{label}}} {v}\n"));
+            }
+        }
+    }
+}
+
+/// Writes one family's `# HELP` and `# TYPE` lines.
+pub(crate) fn header(out: &mut String, name: &str, ty: &str, help: &str) {
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {ty}\n"));
+}
+
+/// The `metrics` answer: an exposition in the `text` field (JSON-escaped;
+/// clients unescape via [`Response::field_str`]).
+pub fn response(id: &str, text: &str) -> Response {
+    let mut r = Response::new(id, 200);
+    r.push_str("format", "prometheus-text");
+    r.push_str("text", text);
+    r
+}
 
 /// Histogram bucket upper bounds: `2^0 .. 2^24` microseconds.
 const BUCKETS: usize = 25;
@@ -96,7 +200,7 @@ impl Hist {
 struct TenantMetrics {
     /// Responses by `(class, code)`.
     by_code: BTreeMap<(u8, u16), u64>,
-    /// Latency per class, admitted requests only.
+    /// Latency per class, intake to response, of every resolved request.
     latency: [Hist; 3],
 }
 
@@ -125,22 +229,17 @@ impl Default for QosMetrics {
 }
 
 impl QosMetrics {
-    /// Records one resolved request: its response code, and (when it was
-    /// admitted and served) its latency.
-    pub fn record(&self, tenant: &str, class: Class, code: u16, latency_us: Option<u64>) {
+    /// Records one resolved request: its response code and latency, and
+    /// for a `200` the pressure tier it was served at.
+    pub fn record(&self, tenant: &str, class: Class, code: u16, tier: u8, latency_us: u64) {
         let mut reg = self.inner.lock().unwrap();
+        if code == 200 {
+            reg.tier[class.idx()][usize::from(tier.min(3))] += 1;
+        }
         let key = Self::intern(&mut reg, tenant);
         let t = reg.tenants.entry(key).or_default();
         *t.by_code.entry((class.idx() as u8, code)).or_insert(0) += 1;
-        if let Some(us) = latency_us {
-            t.latency[class.idx()].observe(us);
-        }
-    }
-
-    /// Records the pressure tier a request was served at.
-    pub fn record_tier(&self, class: Class, tier: u8) {
-        let mut reg = self.inner.lock().unwrap();
-        reg.tier[class.idx()][usize::from(tier.min(3))] += 1;
+        t.latency[class.idx()].observe(latency_us);
     }
 
     /// The label a tenant folds to under the cardinality cap.
@@ -153,46 +252,22 @@ impl QosMetrics {
         }
     }
 
-    /// Per-tenant `200` counts (all classes), for the stats fields and
-    /// the route/fleet aggregation: sorted by tenant name.
-    pub fn served_by_tenant(&self) -> Vec<(String, u64)> {
+    /// Appends the per-tenant/class families to an exposition.
+    pub fn render(&self, out: &mut String) {
         let reg = self.inner.lock().unwrap();
-        reg.tenants
-            .iter()
-            .map(|(name, t)| {
-                let served = t
-                    .by_code
-                    .iter()
-                    .filter(|((_, code), _)| *code == 200)
-                    .map(|(_, n)| *n)
-                    .sum();
-                (name.clone(), served)
-            })
-            .collect()
-    }
-
-    /// Renders the full Prometheus text exposition. `extra` carries the
-    /// caller's scalar series: `(name, help, type, labels, value)` where
-    /// `labels` is either empty or `key="value",…` without braces.
-    pub fn render(&self, extra: &[(String, String, &'static str, String, u64)]) -> String {
-        let reg = self.inner.lock().unwrap();
-        let mut out = String::new();
-
-        out.push_str("# HELP mcc_serve_requests_total Responses by tenant, class and code.\n");
-        out.push_str("# TYPE mcc_serve_requests_total counter\n");
+        let name = "mcc_serve_requests_total";
+        header(out, name, "counter", "Responses by tenant, class and code.");
         for (tenant, t) in &reg.tenants {
             for ((class, code), n) in &t.by_code {
                 let class = Class::ALL[usize::from(*class)].name();
                 out.push_str(&format!(
-                    "mcc_serve_requests_total{{tenant=\"{tenant}\",class=\"{class}\",code=\"{code}\"}} {n}\n"
+                    "{name}{{tenant=\"{tenant}\",class=\"{class}\",code=\"{code}\"}} {n}\n"
                 ));
             }
         }
 
-        out.push_str(
-            "# HELP mcc_serve_latency_us Request latency in microseconds, admitted requests.\n",
-        );
-        out.push_str("# TYPE mcc_serve_latency_us histogram\n");
+        let name = "mcc_serve_latency_us";
+        header(out, name, "histogram", "Request latency in microseconds, intake to response.");
         for (tenant, t) in &reg.tenants {
             for class in Class::ALL {
                 let h = &t.latency[class.idx()];
@@ -200,38 +275,23 @@ impl QosMetrics {
                     continue;
                 }
                 let labels = format!("tenant=\"{tenant}\",class=\"{}\",", class.name());
-                h.render(&mut out, "mcc_serve_latency_us", &labels);
+                h.render(out, name, &labels);
             }
         }
 
-        out.push_str("# HELP mcc_serve_tier_total Requests served at each pressure tier.\n");
-        out.push_str("# TYPE mcc_serve_tier_total counter\n");
+        let name = "mcc_serve_tier_total";
+        header(out, name, "counter", "Requests served at each pressure tier.");
         for class in Class::ALL {
             for (tier, n) in reg.tier[class.idx()].iter().enumerate() {
                 if *n == 0 {
                     continue;
                 }
                 out.push_str(&format!(
-                    "mcc_serve_tier_total{{class=\"{}\",tier=\"{tier}\"}} {n}\n",
+                    "{name}{{class=\"{}\",tier=\"{tier}\"}} {n}\n",
                     class.name()
                 ));
             }
         }
-        drop(reg);
-
-        let mut last_name = String::new();
-        for (name, help, ty, labels, value) in extra {
-            if *name != last_name {
-                out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {ty}\n"));
-                last_name = name.clone();
-            }
-            if labels.is_empty() {
-                out.push_str(&format!("{name} {value}\n"));
-            } else {
-                out.push_str(&format!("{name}{{{labels}}} {value}\n"));
-            }
-        }
-        out
     }
 }
 
@@ -433,20 +493,17 @@ mod tests {
     #[test]
     fn registry_renders_valid_prometheus_text() {
         let m = QosMetrics::default();
-        m.record("acme", Class::Interactive, 200, Some(120));
-        m.record("acme", Class::Interactive, 200, Some(90_000));
-        m.record("acme", Class::Batch, 503, None);
-        m.record("evil\"corp\n", Class::Background, 200, Some(7));
-        m.record_tier(Class::Interactive, 0);
-        m.record_tier(Class::Background, 3);
-        let extra = vec![(
-            "mcc_serve_queue_depth".to_string(),
-            "Admitted-but-unresolved requests.".to_string(),
-            "gauge",
-            String::new(),
-            3,
-        )];
-        let text = m.render(&extra);
+        m.record("acme", Class::Interactive, 200, 0, 120);
+        m.record("acme", Class::Interactive, 200, 0, 90_000);
+        m.record("acme", Class::Batch, 503, 0, 3);
+        m.record("evil\"corp\n", Class::Background, 200, 3, 7);
+        let series = [
+            Series::gauge("queue_depth", "Admitted-but-unresolved requests.", |v: &u64| *v),
+            Series::counter("accepted", "Requests admitted.", |v: &u64| v + 1),
+        ];
+        let mut text = String::new();
+        render(&mut text, "mcc_serve", &series, &[(String::new(), &3)]);
+        m.render(&mut text);
         validate(&text).unwrap_or_else(|e| panic!("invalid exposition: {e}\n{text}"));
         assert!(text.contains(
             "mcc_serve_requests_total{tenant=\"acme\",class=\"interactive\",code=\"200\"} 2"
@@ -454,23 +511,27 @@ mod tests {
         assert!(text.contains("mcc_serve_requests_total{tenant=\"acme\",class=\"batch\",code=\"503\"} 1"));
         assert!(text.contains("tenant=\"evil\\\"corp\\n\""), "labels are escaped: {text}");
         assert!(text.contains("mcc_serve_tier_total{class=\"background\",tier=\"3\"} 1"));
-        assert!(text.contains("mcc_serve_queue_depth 3"));
-        assert_eq!(
-            m.served_by_tenant().iter().find(|(t, _)| t == "acme").unwrap().1,
-            2
-        );
+        assert!(text.contains("mcc_serve_tier_total{class=\"interactive\",tier=\"0\"} 2"));
+        assert!(!text.contains("class=\"batch\",tier="), "only a 200 counts a tier: {text}");
+        assert!(text.contains("# TYPE mcc_serve_queue_depth gauge\nmcc_serve_queue_depth 3\n"));
+        assert!(text.contains("counter\nmcc_serve_accepted_total 4\n"), "{text}");
+        let line = stats("s", &series, &3).to_line();
+        assert_eq!(Response::field_num(&line, "queue_depth"), Some(3));
+        assert_eq!(Response::field_num(&line, "accepted"), Some(4));
     }
 
     #[test]
     fn tenant_labels_fold_into_other_past_the_cap() {
         let m = QosMetrics::default();
         for i in 0..(MAX_TENANT_LABELS + 40) {
-            m.record(&format!("t{i:03}"), Class::Batch, 200, None);
+            m.record(&format!("t{i:03}"), Class::Batch, 200, 0, 1);
         }
-        let by_tenant = m.served_by_tenant();
-        assert!(by_tenant.len() <= MAX_TENANT_LABELS + 1);
-        let other = by_tenant.iter().find(|(t, _)| t == OVERFLOW_TENANT);
-        assert_eq!(other.map(|(_, n)| *n), Some(40), "overflow is accounted");
+        let mut text = String::new();
+        m.render(&mut text);
+        let tenants = text.lines().filter(|l| l.starts_with("mcc_serve_requests_total{")).count();
+        assert!(tenants <= MAX_TENANT_LABELS + 1);
+        let other = format!("{{tenant=\"{OVERFLOW_TENANT}\",class=\"batch\",code=\"200\"}} 40\n");
+        assert!(text.contains(&other), "overflow is accounted: {text}");
     }
 
     #[test]

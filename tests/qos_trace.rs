@@ -1,13 +1,14 @@
 //! QoS observability, end to end: the `--trace` journal's torn-tail
-//! replay discipline against a live server, the per-tenant stats
-//! aggregation through a router (including the cross-version parse of a
-//! pre-QoS peer's stats line), and the merged Prometheus exposition.
+//! replay discipline against a live server, and a Prometheus scrape of a
+//! real `mcc serve` daemon over TCP.
 
-use std::sync::Arc;
+use std::time::Duration;
 
-use mcc::route::{tenant_served_from_stats, Backend, InProcBackend, RouteConfig, Router};
+use mcc::fleet::child;
 use mcc::serve::proto::{compile_line_qos, Response};
 use mcc::serve::{metrics, trace, ServeConfig, Server};
+
+mod common;
 
 /// A YALLL kernel that always compiles; the nonce comment keeps each
 /// request's cache key distinct so every request really executes.
@@ -68,87 +69,53 @@ fn trace_journal_replays_exactly_and_survives_a_torn_tail() {
 }
 
 #[test]
-fn stats_parse_tolerates_pre_qos_peers() {
-    // A modern shard's stats line carries the per-tenant fields.
-    let server = Server::start(ServeConfig::default());
-    for k in 0..3 {
-        let line =
-            compile_line_qos(&format!("q{k}"), "hm1", "yalll", &src(k), Some("acme"), None);
-        assert_eq!(server.handle_line(&line, "c").code, 200);
+fn a_live_daemon_answers_a_prometheus_scrape() {
+    let dir = std::env::temp_dir().join(format!("mcc-qos-scrape-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (trace, cache) = (dir.join("trace.jsonl"), dir.join("cache"));
+    let (mut daemon, addr) = common::spawn_daemon(
+        &[
+            "serve",
+            "--port",
+            "0",
+            "--jobs",
+            "2",
+            "--queue-bound",
+            "8",
+            "--tenant-weight",
+            "acme=4",
+            "--tenant-quota",
+            "64",
+            "--trace",
+            trace.to_str().unwrap(),
+        ],
+        &[("MCC_CACHE_DIR", cache.as_path())],
+    );
+    let patience = Duration::from_secs(30);
+    let compile = "{\"op\":\"compile\",\"id\":\"q1\",\"machine\":\"hm1\",\"lang\":\"yalll\",\
+                   \"tenant\":\"acme\",\"class\":\"interactive\",\
+                   \"src\":\"reg a = R0\\nconst a, 3\\nexit a\\n\"}\n";
+    let resp = child::line_call(&addr, compile, patience).expect("daemon answers the compile");
+    assert_eq!(Response::field_num(&resp, "code"), Some(200), "{resp}");
+
+    let reply = child::line_call(&addr, "{\"op\":\"metrics\",\"id\":\"m1\"}\n", patience)
+        .expect("daemon answers metrics");
+    assert_eq!(
+        Response::field_str(&reply, "format").as_deref(),
+        Some("prometheus-text"),
+        "{reply}"
+    );
+    let text = Response::field_str(&reply, "text").expect("metrics text field");
+    for needle in ["mcc_serve_requests_total", "tenant=\"acme\"", "mcc_serve_latency_us_bucket"] {
+        assert!(text.contains(needle), "the scrape lacks {needle}:\n{text}");
     }
-    let stats = server.handle_line("{\"op\":\"stats\",\"id\":\"s\"}\n", "c").to_line();
-    let parsed = tenant_served_from_stats(&stats);
-    assert_eq!(parsed, vec![("acme".to_string(), 3)]);
-    server.drain();
+    metrics::validate(&text).unwrap_or_else(|e| panic!("invalid exposition: {e}\n{text}"));
 
-    // A pre-QoS peer's line lacks the fields entirely: the parse yields
-    // nothing rather than an error — old and new shards can share a ring.
-    let old = "{\"id\":\"s\",\"code\":200,\"role\":\"serve\",\"accepted\":7,\"completed\":7}\n";
-    assert!(tenant_served_from_stats(old).is_empty());
-
-    // Half-upgraded: a `tenants` csv naming a tenant whose counter field
-    // is missing contributes a zero, not a parse failure.
-    let half = "{\"id\":\"s\",\"code\":200,\"tenants\":\"ghost\"}\n";
-    assert_eq!(tenant_served_from_stats(half), vec![("ghost".to_string(), 0)]);
-}
-
-#[test]
-fn router_aggregates_tenant_stats_and_merges_shard_metrics() {
-    let shards: Vec<Arc<Server>> = (0..2)
-        .map(|_| Arc::new(Server::start(ServeConfig::default())))
-        .collect();
-    let backends: Vec<Arc<dyn Backend>> = shards
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            Arc::new(InProcBackend::new(&format!("b{i}"), Arc::clone(s))) as Arc<dyn Backend>
-        })
-        .collect();
-    let router = Router::new(
-        backends,
-        RouteConfig {
-            hedge_after: None,
-            ..RouteConfig::default()
-        },
-    );
-
-    for k in 0..8 {
-        let tenant = if k % 2 == 0 { "acme" } else { "blue" };
-        let line = compile_line_qos(
-            &format!("t{k}"),
-            "hm1",
-            "yalll",
-            &src(k),
-            Some(tenant),
-            Some("interactive"),
-        );
-        let resp = router.handle_line(&line, "client");
-        assert_eq!(Response::field_num(&resp, "code"), Some(200), "{resp}");
-    }
-
-    // Stats: per-tenant served counters summed across both shards.
-    let stats = router.handle_line("{\"op\":\"stats\",\"id\":\"s\"}\n", "client");
-    assert_eq!(Response::field_str(&stats, "tenants").as_deref(), Some("acme,blue"));
-    let acme = Response::field_num(&stats, "tenant_served_acme").unwrap_or(0);
-    let blue = Response::field_num(&stats, "tenant_served_blue").unwrap_or(0);
-    assert_eq!(acme + blue, 8, "every compile lands in exactly one tenant counter");
-    assert_eq!(acme, 4);
-    assert_eq!(blue, 4);
-
-    // Metrics: the merged exposition validates as Prometheus text and
-    // carries both the router's own series and shard-labelled series.
-    let m = router.handle_line("{\"op\":\"metrics\",\"id\":\"m\"}\n", "client");
-    assert_eq!(Response::field_num(&m, "code"), Some(200));
-    let text = Response::field_str(&m, "text").expect("metrics text field");
-    metrics::validate(&text).expect("merged exposition validates");
-    assert!(text.contains("mcc_route_routed_total 8"), "{text}");
-    assert!(
-        text.contains("shard=\"b0\"") && text.contains("shard=\"b1\""),
-        "both shards' series are folded in under their label"
-    );
-    assert!(
-        text.contains("mcc_serve_requests_total{shard="),
-        "shard serve counters survive the merge"
-    );
-    router.stop_probes();
+    common::sigterm(&daemon);
+    let status = common::wait_exit(&mut daemon, "mcc serve");
+    assert!(status.success(), "a drained daemon exits 0, got {status}");
+    let traced = std::fs::metadata(&trace).map_or(0, |m| m.len());
+    assert!(traced > 0, "the trace journal is not empty");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -11,57 +11,14 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use mcc::serve::proto::{self, Response};
 
-/// Spawns one `mcc` daemon subcommand and parses the bound address off
-/// its stderr banner (`… listening on ADDR …`), then keeps draining the
-/// pipe so the child can never block on it.
-fn spawn_daemon(args: &[&str], envs: &[(&str, &std::path::Path)]) -> (Child, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_mcc"));
-    cmd.args(args)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped());
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let mut child = cmd.spawn().expect("daemon spawns");
-    let stderr = child.stderr.take().expect("stderr piped");
-    let mut reader = BufReader::new(stderr);
-    let mut line = String::new();
-    let mut addr = None;
-    while reader.read_line(&mut line).expect("banner readable") > 0 {
-        if let Some(rest) = line.split("listening on ").nth(1) {
-            addr = rest.split_whitespace().next().map(str::to_string);
-            break;
-        }
-        line.clear();
-    }
-    std::thread::spawn(move || {
-        let mut sink = String::new();
-        while matches!(reader.read_line(&mut sink), Ok(n) if n > 0) {
-            sink.clear();
-        }
-    });
-    (child, addr.expect("daemon reported its address"))
-}
-
-/// Waits up to 10s for a child to exit; panics if it never does.
-fn wait_exit(child: &mut Child, who: &str) -> std::process::ExitStatus {
-    for _ in 0..1000 {
-        if let Some(status) = child.try_wait().expect("try_wait") {
-            return status;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let _ = child.kill();
-    panic!("{who} did not exit within 10s of the drain");
-}
+mod common;
+use common::{sigterm, spawn_daemon, wait_exit};
 
 #[test]
 fn sigterm_drains_router_and_backends_answering_everything_exactly_once() {
@@ -137,11 +94,7 @@ fn sigterm_drains_router_and_backends_answering_everything_exactly_once() {
     // Mid-burst: SIGTERM the router. It must drain itself, answer what
     // is in flight, propagate the drain to both backends, and exit 0.
     std::thread::sleep(Duration::from_millis(300));
-    let term = Command::new("sh")
-        .args(["-c", &format!("kill -TERM {}", router.id())])
-        .status()
-        .expect("kill runs");
-    assert!(term.success(), "SIGTERM delivered");
+    sigterm(&router);
     stop_sending.store(true, Ordering::Relaxed);
 
     let (mut n200, mut n503) = (0u64, 0u64);

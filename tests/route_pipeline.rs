@@ -3,9 +3,8 @@
 //! fewer writes than frames, and a shard that a fleet restarts and
 //! rejoins keeps that transport.
 
-use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+use std::process::Child;
 use std::time::Duration;
 
 use mcc::fleet::{child, Fleet, FleetConfig, ShardInfo, ShardSpec, ShardState};
@@ -14,38 +13,10 @@ use mcc::serve::metrics;
 use mcc::serve::proto::{self, Response};
 use mcc::serve::proto2::{self, FrameType};
 
-const PATIENCE: Duration = Duration::from_secs(30);
+mod common;
+use common::spawn_daemon;
 
-/// Spawns one `mcc` daemon and parses the bound address off its stderr
-/// banner, then keeps draining the pipe so the child never blocks on it.
-fn spawn_daemon(args: &[&str], envs: &[(&str, &str)]) -> (Child, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_mcc"));
-    cmd.args(args)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped());
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let mut child = cmd.spawn().expect("daemon spawns");
-    let mut reader = BufReader::new(child.stderr.take().expect("stderr piped"));
-    let mut line = String::new();
-    let mut addr = None;
-    while reader.read_line(&mut line).expect("banner readable") > 0 {
-        if let Some(rest) = line.split("listening on ").nth(1) {
-            addr = rest.split_whitespace().next().map(str::to_string);
-            break;
-        }
-        line.clear();
-    }
-    std::thread::spawn(move || {
-        let mut sink = String::new();
-        while matches!(reader.read_line(&mut sink), Ok(n) if n > 0) {
-            sink.clear();
-        }
-    });
-    (child, addr.expect("daemon reported its address"))
-}
+const PATIENCE: Duration = Duration::from_secs(30);
 
 /// Daemons killed on drop, so a failing test leaves none running.
 struct Daemons(Vec<Child>);
@@ -86,7 +57,7 @@ fn a_pipelined_burst_reaches_the_shards_in_fewer_writes_than_frames() {
         std::fs::create_dir_all(&dir).unwrap();
         let (child, addr) = spawn_daemon(
             &["serve", "--port", "0"],
-            &[("MCC_CACHE_DIR", dir.to_str().unwrap())],
+            &[("MCC_CACHE_DIR", dir.as_path())],
         );
         daemons.0.push(child);
         shards.push(addr);
