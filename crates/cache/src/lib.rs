@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use mcc_core::{Artifact, CompileError, Compiler, CompilerOptions, SourceLang};
 use mcc_machine::{ConflictModel, MachineDesc};
@@ -137,15 +137,14 @@ pub fn canonical_options(o: &CompilerOptions) -> String {
 ///
 /// Rendering a machine to MDL and hashing it dominates key derivation
 /// (tens of microseconds against a sub-microsecond source hash), yet it
-/// is identical for every request against the same machine under the
-/// same options. A prefix computed once can finish any number of keys
-/// via [`key_from_prefix`].
+/// is identical for every request a [`Compiler`] serves in one language:
+/// [`key_for`] derives it once per (compiler, language).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeyPrefix(u128);
+struct KeyPrefix(u128);
 
 /// Computes the constant prefix of [`key_of`] — everything but the
 /// source section.
-pub fn key_prefix(m: &MachineDesc, lang: SourceLang, opts: &CompilerOptions) -> KeyPrefix {
+fn key_prefix(m: &MachineDesc, lang: SourceLang, opts: &CompilerOptions) -> KeyPrefix {
     let mut h = Fnv128::new();
     h.section("salt", toolkit_salt().as_bytes());
     h.section("lang", lang.name().as_bytes());
@@ -154,39 +153,13 @@ pub fn key_prefix(m: &MachineDesc, lang: SourceLang, opts: &CompilerOptions) -> 
     KeyPrefix(h.0)
 }
 
-/// Finishes a key from a memoized prefix: identical to [`key_of`] on
-/// the same (machine, lang, options, source) by construction — the
-/// prefix *is* the hash state at the source section boundary.
-pub fn key_from_prefix(prefix: KeyPrefix, src: &str) -> CacheKey {
+/// Finishes a key from a prefix: identical to [`key_of`] on the same
+/// (machine, lang, options, source) by construction — the prefix *is*
+/// the hash state at the source section boundary.
+fn key_from_prefix(prefix: KeyPrefix, src: &str) -> CacheKey {
     let mut h = Fnv128(prefix.0);
     h.section("source", src.as_bytes());
     CacheKey(h.0)
-}
-
-/// Memoized [`key_prefix`] for the canonical machine set. Keyed by the
-/// resolved machine name plus the canonical options line — safe *only*
-/// because [`mcc_machine::machines::by_name`] deterministically builds
-/// the same description for a name; a custom or mutated `MachineDesc`
-/// must go through [`key_prefix`] directly. `None` when a name does not
-/// resolve.
-pub fn canonical_key_prefix(
-    machine: &str,
-    lang: SourceLang,
-    opts: &CompilerOptions,
-) -> Option<KeyPrefix> {
-    type PrefixMemo = Mutex<HashMap<(String, &'static str, String), KeyPrefix>>;
-    static MEMO: OnceLock<PrefixMemo> =
-        OnceLock::new();
-    let name = machine.to_ascii_lowercase();
-    let opts_line = canonical_options(opts);
-    let memo = MEMO.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(p) = memo.lock().unwrap().get(&(name.clone(), lang.name(), opts_line.clone())) {
-        return Some(*p);
-    }
-    let m = mcc_machine::machines::by_name(&name)?;
-    let p = key_prefix(&m, lang, opts);
-    memo.lock().unwrap().insert((name, lang.name(), opts_line), p);
-    Some(p)
 }
 
 /// Derives the content address of one compilation request. The machine
@@ -195,6 +168,17 @@ pub fn canonical_key_prefix(
 /// machines can never alias.
 pub fn key_of(m: &MachineDesc, lang: SourceLang, opts: &CompilerOptions, src: &str) -> CacheKey {
     key_from_prefix(key_prefix(m, lang, opts), src)
+}
+
+/// The content address of compiling `src` as `lang` through `compiler`:
+/// `key_of(compiler.machine(), lang, compiler.options(), src)`, with the
+/// prefix derived on the compiler's first request in `lang` and memoized
+/// in the compiler ([`Compiler::key_prefix`]).
+pub fn key_for(compiler: &Compiler, lang: SourceLang, src: &str) -> CacheKey {
+    let prefix = compiler.key_prefix(lang, || {
+        key_prefix(compiler.machine(), lang, compiler.options()).0
+    });
+    key_from_prefix(KeyPrefix(prefix), src)
 }
 
 /// The routing address of a wire-level compile request: the same 128-bit
@@ -209,9 +193,14 @@ pub fn key_of(m: &MachineDesc, lang: SourceLang, opts: &CompilerOptions, src: &s
 /// owns every tier of that source — which is what keeps per-shard cache
 /// locality intact.
 pub fn key_for_wire(machine: &str, lang: &str, src: &str) -> Option<CacheKey> {
+    /// One default-options compiler per reference machine, indexed by
+    /// [`mcc_machine::machines::index_of`].
+    static WIRE: OnceLock<Vec<Compiler>> = OnceLock::new();
     let lang = SourceLang::from_name(lang)?;
-    let prefix = canonical_key_prefix(machine, lang, &CompilerOptions::default())?;
-    Some(key_from_prefix(prefix, src))
+    let machine = mcc_machine::machines::index_of(machine)?;
+    let compilers =
+        WIRE.get_or_init(|| mcc_machine::machines::all().into_iter().map(Compiler::new).collect());
+    Some(key_for(&compilers[machine], lang, src))
 }
 
 // -------------------------------------------------------------- cache ----
@@ -294,7 +283,8 @@ impl Cache {
     /// content address matches. Hits are marked in
     /// `artifact.stats.cached` (`"memory"` or `"disk"`); everything that
     /// participates in the artifact's canonical serialisation is
-    /// byte-identical to a cold compile.
+    /// byte-identical to a cold compile. Whichever tier answers, the
+    /// artifact holds `compiler`'s own [`Compiler::shared_machine`].
     ///
     /// # Errors
     ///
@@ -306,28 +296,9 @@ impl Cache {
         src: &str,
         persist: Persist,
     ) -> Result<Artifact, CompileError> {
-        let key = key_of(compiler.machine(), lang, compiler.options(), src);
-        self.compile_keyed(key, compiler, lang, src, persist)
-    }
-
-    /// [`Cache::compile`] with the content address already derived —
-    /// for callers holding a memoized [`KeyPrefix`] who finish the key
-    /// themselves via [`key_from_prefix`]. The key MUST be
-    /// `key_of(compiler.machine(), lang, compiler.options(), src)` or
-    /// the cache will alias.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileError`]; errors are never cached.
-    pub fn compile_keyed(
-        &self,
-        key: CacheKey,
-        compiler: &Compiler,
-        lang: SourceLang,
-        src: &str,
-        persist: Persist,
-    ) -> Result<Artifact, CompileError> {
+        let key = key_for(compiler, lang, src);
         if let Some(mut hit) = self.mem.lock().unwrap().get(&key.0).cloned() {
+            hit.machine = Arc::clone(compiler.shared_machine());
             hit.stats.cached = Some("memory");
             self.hits_memory.fetch_add(1, Ordering::Relaxed);
             return Ok(hit);
@@ -343,8 +314,8 @@ impl Cache {
             // A record that fails to deserialize is treated as a miss:
             // the checksum made corruption overwhelmingly unlikely, but
             // recompiling is always a safe answer.
-            if let Ok(mut art) = serial::deserialize_artifact(&payload, compiler.machine().clone())
-            {
+            let machine = Arc::clone(compiler.shared_machine());
+            if let Ok(mut art) = serial::deserialize_artifact(&payload, machine) {
                 self.mem.lock().unwrap().insert(key.0, art.clone());
                 art.stats.cached = Some("disk");
                 self.hits_disk.fetch_add(1, Ordering::Relaxed);
@@ -544,28 +515,6 @@ pub fn memory_hit_keyed(key: CacheKey) -> bool {
     enabled() && global().note_memory_hit(key)
 }
 
-/// [`compile_cached`] with the content address already derived from a
-/// memoized [`KeyPrefix`] — the hot-path variant for servers that issue
-/// many compiles against the same canonical machine. The same
-/// correctness obligation as [`Cache::compile_keyed`] applies.
-///
-/// # Errors
-///
-/// See [`CompileError`].
-pub fn compile_cached_keyed(
-    key: CacheKey,
-    compiler: &Compiler,
-    lang: SourceLang,
-    src: &str,
-    persist: Persist,
-) -> Result<Artifact, CompileError> {
-    if !enabled() {
-        return compiler.compile_contained(lang, src);
-    }
-    let persist = persist_override().unwrap_or(persist);
-    global().compile_keyed(key, compiler, lang, src, persist)
-}
-
 /// Flushes the global cache's stats to its disk tier, ignoring errors —
 /// call at process exit from binaries that attached a disk tier.
 pub fn flush_global_stats() {
@@ -608,43 +557,74 @@ mod tests {
 
     #[test]
     fn prefixed_keys_match_direct_derivation() {
-        let opts = CompilerOptions::default();
-        for m in [hm1(), vm1()] {
-            let p = key_prefix(&m, SourceLang::Yalll, &opts);
-            for src in [SRC, "reg a = R0\nexit a\n", ""] {
-                assert_eq!(
-                    key_from_prefix(p, src),
-                    key_of(&m, SourceLang::Yalll, &opts, src),
-                    "prefixed key diverges for machine {} src {src:?}",
-                    m.name
-                );
+        let tuned = CompilerOptions {
+            algorithm: Algorithm::BranchBound,
+            poll_interval: Some(4),
+            ..Default::default()
+        };
+        for opts in [CompilerOptions::default(), tuned] {
+            for m in [hm1(), vm1()] {
+                let c = Compiler::with_options(m.clone(), opts.clone());
+                for lang in SourceLang::ALL {
+                    let p = key_prefix(&m, lang, &opts);
+                    for src in [SRC, "reg a = R0\nexit a\n", ""] {
+                        let direct = key_of(&m, lang, &opts, src);
+                        assert_eq!(key_from_prefix(p, src), direct, "{} {lang} {src:?}", m.name);
+                        assert_eq!(key_for(&c, lang, src), direct, "{} {lang} {src:?}", m.name);
+                    }
+                    let memoized = c.key_prefix(lang, || unreachable!("key_for memoized it"));
+                    assert_eq!(memoized, p.0, "{} {lang}", m.name);
+                }
             }
         }
     }
 
     #[test]
     fn canonical_prefix_memo_agrees_with_by_name() {
+        // `key_for_wire`'s table of default-option compilers, by alias.
         let opts = CompilerOptions::default();
-        // Twice: the second call exercises the memoized path.
-        for _ in 0..2 {
-            let p = canonical_key_prefix("hm1", SourceLang::Yalll, &opts).unwrap();
-            assert_eq!(
-                key_from_prefix(p, SRC),
-                key_of(&hm1(), SourceLang::Yalll, &opts, SRC)
-            );
+        for name in ["hm1", "Horizon", "vm-1", "BAROQUE", "wide"] {
+            let m = mcc_machine::machines::by_name(name).unwrap();
+            for lang in SourceLang::ALL {
+                // Twice: the second call takes the memoized prefix.
+                for _ in 0..2 {
+                    assert_eq!(
+                        key_for_wire(name, lang.name(), SRC),
+                        Some(key_of(&m, lang, &opts, SRC)),
+                        "{name} {lang}"
+                    );
+                }
+            }
         }
-        // Aliases resolve to the same machine, hence the same prefix.
-        assert_eq!(
-            canonical_key_prefix("horizon", SourceLang::Yalll, &opts),
-            canonical_key_prefix("hm-1", SourceLang::Yalll, &opts)
-        );
-        assert!(canonical_key_prefix("no-such-machine", SourceLang::Yalll, &opts).is_none());
-        // Different options produce a different prefix under the memo.
-        let tuned = CompilerOptions { algorithm: Algorithm::Linear, ..Default::default() };
-        assert_ne!(
-            canonical_key_prefix("hm1", SourceLang::Yalll, &opts),
-            canonical_key_prefix("hm1", SourceLang::Yalll, &tuned)
-        );
+    }
+
+    #[test]
+    fn every_tier_answers_with_the_compilers_machine() {
+        let dir = std::env::temp_dir()
+            .join(format!("mcc-cache-test-shared-machine-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Cache::new();
+        cache.attach_disk(&dir).unwrap();
+        let first = Compiler::new(hm1());
+        let cold = cache.compile(&first, SourceLang::Yalll, SRC, Persist::Disk).unwrap();
+        assert_eq!(cold.stats.cached, None);
+        assert!(Arc::ptr_eq(&cold.machine, first.shared_machine()));
+
+        // Another compiler with the same inputs: the same key, its machine.
+        let second = Compiler::new(hm1());
+        let warm = cache.compile(&second, SourceLang::Yalll, SRC, Persist::Disk).unwrap();
+        assert_eq!(warm.stats.cached, Some("memory"));
+        assert!(Arc::ptr_eq(&warm.machine, second.shared_machine()));
+
+        // A freshly attached tier has an empty memory tier, so it reads disk.
+        let fresh = Cache::new();
+        fresh.attach_disk(&dir).unwrap();
+        let third = Compiler::new(hm1());
+        let disk = fresh.compile(&third, SourceLang::Yalll, SRC, Persist::Disk).unwrap();
+        assert_eq!(disk.stats.cached, Some("disk"));
+        assert!(Arc::ptr_eq(&disk.machine, third.shared_machine()));
+        assert_eq!(serialize_artifact(&disk), serialize_artifact(&cold));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! produced the record, and is re-attached on deserialisation.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use mcc_core::passes::Warning;
 use mcc_core::{Artifact, CompileStats};
@@ -328,7 +329,10 @@ impl<'a> Toks<'a> {
 /// # Errors
 ///
 /// Returns a description of the first malformed token.
-pub fn deserialize_artifact(s: &str, machine: MachineDesc) -> Result<Artifact, String> {
+pub fn deserialize_artifact(
+    s: &str,
+    machine: impl Into<Arc<MachineDesc>>,
+) -> Result<Artifact, String> {
     let mut t = Toks::new(s);
     t.expect(MAGIC)?;
 
@@ -402,7 +406,7 @@ pub fn deserialize_artifact(s: &str, machine: MachineDesc) -> Result<Artifact, S
     }
 
     Ok(Artifact {
-        machine,
+        machine: machine.into(),
         program: MicroProgram { blocks },
         locations,
         symbols,

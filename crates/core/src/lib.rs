@@ -19,6 +19,7 @@ pub mod passes;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, OnceLock};
 
 use mcc_compact::Algorithm;
 use mcc_lang::FrontendLimits;
@@ -64,15 +65,19 @@ impl SourceLang {
         }
     }
 
-    /// Parses a language name (canonical names and common file extensions).
+    /// Parses a language name (canonical names and common file
+    /// extensions, case-insensitive) without allocating.
     pub fn from_name(s: &str) -> Option<SourceLang> {
-        match s.to_ascii_lowercase().as_str() {
-            "simpl" | "sim" => Some(SourceLang::Simpl),
-            "empl" | "emp" => Some(SourceLang::Empl),
-            "sstar" | "ss" | "s*" => Some(SourceLang::Sstar),
-            "yalll" | "yll" => Some(SourceLang::Yalll),
-            _ => None,
-        }
+        const NAMES: [(SourceLang, &[&str]); 4] = [
+            (SourceLang::Simpl, &["simpl", "sim"]),
+            (SourceLang::Empl, &["empl", "emp"]),
+            (SourceLang::Sstar, &["sstar", "ss", "s*"]),
+            (SourceLang::Yalll, &["yalll", "yll"]),
+        ];
+        NAMES
+            .iter()
+            .find(|(_, names)| names.iter().any(|n| n.eq_ignore_ascii_case(s)))
+            .map(|&(lang, _)| lang)
     }
 }
 
@@ -320,8 +325,9 @@ impl CompileStats {
 /// The output of a compilation.
 #[derive(Debug, Clone)]
 pub struct Artifact {
-    /// The machine compiled for.
-    pub machine: MachineDesc,
+    /// The machine compiled for, shared with the [`Compiler`] that built
+    /// it and with every simulator it loads.
+    pub machine: Arc<MachineDesc>,
     /// The microprogram (block-structured; flatten to get a control store).
     pub program: MicroProgram,
     /// Where each symbolic variable's virtual register ended up.
@@ -367,7 +373,7 @@ impl Artifact {
 
     /// Loads the program into a fresh simulator.
     pub fn simulator(&self) -> Simulator {
-        Simulator::new(self.machine.clone(), &self.program)
+        Simulator::new(Arc::clone(&self.machine), &self.program)
     }
 
     /// Runs the program to halt with default options.
@@ -391,29 +397,40 @@ impl Artifact {
     }
 }
 
-/// The compiler: a machine plus pipeline options.
+/// The compiler: a machine plus pipeline options, both fixed at
+/// construction.
 #[derive(Debug, Clone)]
 pub struct Compiler {
-    machine: MachineDesc,
+    machine: Arc<MachineDesc>,
     options: CompilerOptions,
+    /// One slot per [`SourceLang`] for `mcc-cache`'s key prefix of
+    /// (machine, language, options), filled on first use.
+    key_prefixes: [OnceLock<u128>; SourceLang::ALL.len()],
 }
 
 impl Compiler {
     /// A compiler for `machine` with default options.
-    pub fn new(machine: MachineDesc) -> Self {
-        Compiler {
-            machine,
-            options: CompilerOptions::default(),
-        }
+    pub fn new(machine: impl Into<Arc<MachineDesc>>) -> Self {
+        Self::with_options(machine, CompilerOptions::default())
     }
 
     /// A compiler with explicit options.
-    pub fn with_options(machine: MachineDesc, options: CompilerOptions) -> Self {
-        Compiler { machine, options }
+    pub fn with_options(machine: impl Into<Arc<MachineDesc>>, options: CompilerOptions) -> Self {
+        Compiler {
+            machine: machine.into(),
+            options,
+            key_prefixes: Default::default(),
+        }
     }
 
     /// The target machine.
     pub fn machine(&self) -> &MachineDesc {
+        &self.machine
+    }
+
+    /// The target machine as the handle every artifact of this compiler
+    /// shares.
+    pub fn shared_machine(&self) -> &Arc<MachineDesc> {
         &self.machine
     }
 
@@ -422,9 +439,14 @@ impl Compiler {
         &self.options
     }
 
-    /// Mutable access to the pipeline options (builder-style tweaks).
-    pub fn options_mut(&mut self) -> &mut CompilerOptions {
-        &mut self.options
+    /// The cache-key prefix of this compiler's machine and options for
+    /// `lang`: `derive`'s value on the first call for `lang`, and that
+    /// value on every later one. The machine and options never change
+    /// after construction, so the memo never goes stale.
+    /// `mcc_cache::key_for` is the one caller, which keeps the derivation
+    /// in `mcc-cache`.
+    pub fn key_prefix(&self, lang: SourceLang, derive: impl FnOnce() -> u128) -> u128 {
+        *self.key_prefixes[lang as usize].get_or_init(derive)
     }
 
     /// Compiles a MIR function through the whole pipeline.
@@ -515,7 +537,7 @@ impl Compiler {
         stats.degradations = emitted.degradations;
 
         Ok(Artifact {
-            machine: self.machine.clone(),
+            machine: Arc::clone(&self.machine),
             program,
             locations: report.locations,
             symbols: HashMap::new(),
@@ -789,9 +811,10 @@ mod tests {
     /// algorithm actually produced the code, and the result is correct.
     #[test]
     fn oversize_block_compiles_via_degradation_chain() {
-        let m = hm1();
-        let mut c = Compiler::new(m);
-        c.options_mut().algorithm = Algorithm::BranchBound;
+        let c = Compiler::with_options(
+            hm1(),
+            CompilerOptions { algorithm: Algorithm::BranchBound, ..Default::default() },
+        );
         let mut b = FuncBuilder::new("big");
         let a = b.vreg();
         b.ldi(a, 1);
@@ -834,9 +857,10 @@ mod tests {
 
     #[test]
     fn poll_insertion_counts() {
-        let m = hm1();
-        let mut c = Compiler::new(m);
-        c.options_mut().poll_interval = Some(2);
+        let c = Compiler::with_options(
+            hm1(),
+            CompilerOptions { poll_interval: Some(2), ..Default::default() },
+        );
         let mut b = FuncBuilder::new("p");
         let x = b.vreg();
         b.ldi(x, 9);
@@ -864,9 +888,9 @@ mod tests {
 
     #[test]
     fn mir_op_budget_is_enforced() {
-        let m = hm1();
-        let mut c = Compiler::new(m);
-        c.options_mut().limits.max_mir_ops = 5;
+        let mut options = CompilerOptions::default();
+        options.limits.max_mir_ops = 5;
+        let c = Compiler::with_options(hm1(), options);
         let mut b = FuncBuilder::new("big");
         let x = b.vreg();
         b.ldi(x, 0);

@@ -23,33 +23,41 @@ pub use wm64::wm64;
 
 use crate::machine::MachineDesc;
 
+/// The reference machines' constructors, in canonical order: the
+/// order of [`all`] and the indices [`index_of`] returns.
+const BUILD: [fn() -> MachineDesc; 4] = [hm1, vm1, bx2, wm64];
+
+/// Every accepted name of each reference machine, lowercase, in
+/// [`BUILD`] order.
+const NAMES: [[&str; 3]; 4] = [
+    ["hm-1", "hm1", "horizon"],
+    ["vm-1", "vm1", "vertica"],
+    ["bx-2", "bx2", "baroque"],
+    ["wm-64", "wm64", "wide"],
+];
+
 /// All reference machines, in a canonical order.
 pub fn all() -> Vec<MachineDesc> {
-    vec![hm1(), vm1(), bx2(), wm64()]
+    BUILD.iter().map(|build| build()).collect()
+}
+
+/// The index in [`all`] of the machine a name denotes (case-insensitive),
+/// found without building the description or allocating — the lookup
+/// behind [`by_name`] and behind tables indexed by machine.
+pub fn index_of(name: &str) -> Option<usize> {
+    NAMES
+        .iter()
+        .position(|names| names.iter().any(|n| n.eq_ignore_ascii_case(name)))
+}
+
+/// Builds the machine at `index` in [`all`].
+pub fn by_index(index: usize) -> Option<MachineDesc> {
+    BUILD.get(index).map(|build| build())
 }
 
 /// Looks a reference machine up by name (case-insensitive).
 pub fn by_name(name: &str) -> Option<MachineDesc> {
-    match name.to_ascii_lowercase().as_str() {
-        "hm-1" | "hm1" | "horizon" => Some(hm1()),
-        "vm-1" | "vm1" | "vertica" => Some(vm1()),
-        "bx-2" | "bx2" | "baroque" => Some(bx2()),
-        "wm-64" | "wm64" | "wide" => Some(wm64()),
-        _ => None,
-    }
-}
-
-/// Whether a name resolves, without building the description — the
-/// hot-path validity check for servers that memoize compilers by name.
-/// Must accept exactly the names [`by_name`] accepts.
-pub fn is_known(name: &str) -> bool {
-    matches!(
-        name.to_ascii_lowercase().as_str(),
-        "hm-1" | "hm1" | "horizon"
-            | "vm-1" | "vm1" | "vertica"
-            | "bx-2" | "bx2" | "baroque"
-            | "wm-64" | "wm64" | "wide"
-    )
+    by_index(index_of(name)?)
 }
 
 #[cfg(test)]
@@ -70,10 +78,13 @@ mod tests {
         assert_eq!(by_name("bx2").unwrap().name, "BX-2");
         assert_eq!(by_name("wide").unwrap().name, "WM-64");
         assert!(by_name("pdp-11").is_none());
-        for name in ["hm-1", "HM1", "horizon", "vm1", "vertica", "bx-2", "wm64", "WIDE"] {
-            assert_eq!(is_known(name), by_name(name).is_some(), "{name}");
+        let all = all();
+        for name in ["hm-1", "HM1", "horizon", "vm1", "vertica", "bx-2", "Baroque", "wm64", "WIDE"] {
+            let i = index_of(name).unwrap_or_else(|| panic!("{name}"));
+            assert_eq!(by_name(name).unwrap().name, all[i].name, "{name}");
         }
-        assert!(!is_known("pdp-11"));
+        assert_eq!(index_of("pdp-11"), None);
+        assert!(by_index(all.len()).is_none());
     }
 
     #[test]

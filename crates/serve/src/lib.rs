@@ -40,6 +40,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mcc_cache::Persist;
+use mcc_compact::Algorithm;
 use mcc_core::{Compiler, CompilerOptions, SourceLang};
 use mcc_harness::{BreakerBank, BreakerConfig, PoolHandle, TaskOutcome, WorkerPool};
 use metrics::Series;
@@ -202,14 +203,12 @@ struct Inner {
     breakers: Mutex<(BreakerBank, u64)>,
     /// The exactly-once window for requests that carry an identity.
     dedup: DedupWindow,
-    /// Memoized per-(machine, lang, options) compile constants: the
-    /// `Compiler` (a `MachineDesc` clone per construction otherwise) and
-    /// the cache-key prefix (a full MDL render per derivation
-    /// otherwise). Both are deterministic functions of the key — see
-    /// [`mcc_cache::canonical_key_prefix`] for why name-keying is sound
-    /// for the canonical machine set — and together they take the
-    /// per-request key cost from ~100µs to well under 1µs.
-    compilers: Mutex<HashMap<ConstsKey, CompilerConsts>>,
+    /// One compiler per (reference machine by
+    /// [`mcc_machine::machines::index_of`], algorithm, pressure tier),
+    /// built on first use. Each binds its machine once and memoizes its
+    /// own cache-key prefixes, so a request costs no machine build and no
+    /// MDL render.
+    compilers: Mutex<HashMap<(usize, Algorithm, u8), Arc<Compiler>>>,
     /// Memoized response constants per content address (see
     /// [`RespConsts`]): together with the cache's memory tier this lets
     /// the intake thread answer a warm key synchronously — no queue
@@ -226,38 +225,19 @@ struct Inner {
     started: Instant,
 }
 
-/// Memo key for [`Inner::compile_consts`]: lowercased machine name,
-/// language name, canonical options string.
-type ConstsKey = (String, &'static str, String);
-
-/// Memo value for [`Inner::compile_consts`]: the constructed compiler
-/// and the cache-key prefix it implies.
-type CompilerConsts = (Arc<Compiler>, mcc_cache::KeyPrefix);
-
 impl Inner {
-    /// The memoized compile constants for `(machine, lang, opts)`,
-    /// building and caching them on first sight. `machine` must already
-    /// have passed [`mcc_machine::machines::is_known`].
-    fn compile_consts(
-        &self,
-        machine: &str,
-        lang: SourceLang,
-        opts: &CompilerOptions,
-    ) -> (Arc<Compiler>, mcc_cache::KeyPrefix) {
-        let key = (
-            machine.to_ascii_lowercase(),
-            lang.name(),
-            mcc_cache::canonical_options(opts),
-        );
-        if let Some(hit) = self.compilers.lock().unwrap().get(&key) {
-            return hit.clone();
-        }
-        let desc = mcc_machine::machines::by_name(&key.0)
-            .expect("compile_consts requires a validated machine name");
-        let prefix = mcc_cache::key_prefix(&desc, lang, opts);
-        let entry = (Arc::new(Compiler::with_options(desc, opts.clone())), prefix);
-        self.compilers.lock().unwrap().insert(key, entry.clone());
-        entry
+    /// The memoized compiler for reference machine `machine` (an index
+    /// from [`mcc_machine::machines::index_of`]) under `algo` at pressure
+    /// `tier`.
+    fn compiler(&self, machine: usize, algo: Algorithm, tier: u8) -> Arc<Compiler> {
+        let mut memo = self.compilers.lock().unwrap();
+        let c = memo.entry((machine, algo, tier)).or_insert_with(|| {
+            let desc = mcc_machine::machines::by_index(machine)
+                .expect("compiler requires an index from machines::index_of");
+            let opts = CompilerOptions { algorithm: algo, ..CompilerOptions::default() };
+            Arc::new(Compiler::with_options(desc, options_for_tier(opts, tier)))
+        });
+        Arc::clone(c)
     }
 }
 
@@ -599,27 +579,25 @@ impl Server {
             return reject(429, "rate limited");
         }
 
-        // Validate names before spending a pool slot. `is_known` avoids
-        // building the description on the hot path; the memoized
-        // `compile_consts` below builds it once per (machine, options).
-        if !mcc_machine::machines::is_known(&req.machine) {
+        // Validate names before spending a pool slot.
+        let Some(machine) = mcc_machine::machines::index_of(&req.machine) else {
             counters.bump(&counters.bad_requests);
             return reject(400, &format!("unknown machine `{}`", req.machine));
-        }
+        };
         let Some(lang) = SourceLang::from_name(&req.lang) else {
             counters.bump(&counters.bad_requests);
             return reject(400, &format!("unknown language `{}`", req.lang));
         };
-        let mut opts = CompilerOptions::default();
-        if let Some(name) = &req.algo {
-            match algo_from_name(name) {
-                Some(a) => opts.algorithm = a,
+        let algo = match req.algo.as_deref() {
+            None => CompilerOptions::default().algorithm,
+            Some(name) => match algo_from_name(name) {
+                Some(a) => a,
                 None => {
                     counters.bump(&counters.bad_requests);
                     return reject(400, &format!("unknown algorithm `{name}`"));
                 }
-            }
-        }
+            },
+        };
 
         // Per-machine breaker: a key that keeps panicking or timing out
         // is rejected fast until its cool-down elapses.
@@ -644,9 +622,7 @@ impl Server {
             inner.cfg.queue_bound,
             class,
         ) {
-            let t_opts = options_for_tier(opts.clone(), tier);
-            let (_, prefix) = inner.compile_consts(&req.machine, lang, &t_opts);
-            let key = mcc_cache::key_from_prefix(prefix, &req.src);
+            let key = mcc_cache::key_for(&inner.compiler(machine, algo, tier), lang, &req.src);
             let consts = inner.responses.lock().unwrap().get(&key.0).cloned();
             if let Some(rc) = consts {
                 if mcc_cache::memory_hit_keyed(key) {
@@ -711,7 +687,6 @@ impl Server {
             }
         }
 
-        let opts = options_for_tier(opts, tier);
         let persist = persist_for_tier(tier);
         let deadline = inner
             .cfg
@@ -735,11 +710,10 @@ impl Server {
                 ident: ident.cloned(),
             },
         );
-        let (compiler, prefix) = inner.compile_consts(&req.machine, lang, &opts);
+        let compiler = inner.compiler(machine, algo, tier);
         let src = req.src;
         let job: Job = Box::new(move || {
-            let key = mcc_cache::key_from_prefix(prefix, &src);
-            match mcc_cache::compile_cached_keyed(key, &compiler, lang, &src, persist) {
+            match mcc_cache::compile_cached(&compiler, lang, &src, persist) {
                 Ok(art) => Ok(CompileOk {
                     instrs: art.stats.micro_instrs,
                     ops: art.stats.micro_ops,
@@ -747,7 +721,7 @@ impl Server {
                     algorithm: art.stats.algorithm_used.clone(),
                     cached: art.stats.cached,
                     checksum: artifact_checksum(&art),
-                    key: key.0,
+                    key: mcc_cache::key_for(&compiler, lang, &src).0,
                 }),
                 Err(e) => Err(e.to_string()),
             }

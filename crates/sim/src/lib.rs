@@ -25,6 +25,8 @@ pub mod macroisa;
 
 pub use fault::{Fault, FaultKind, FaultPlan};
 
+use std::sync::Arc;
+
 use mcc_lang::Budget;
 use mcc_machine::{
     AluOp, BoundOp, CondKind, MachineDesc, MicroProgram, RegRef, Semantic, ShiftOp,
@@ -174,7 +176,7 @@ struct Checkpoint {
 /// The simulator: machine state plus a loaded control store.
 #[derive(Debug, Clone)]
 pub struct Simulator {
-    m: MachineDesc,
+    m: Arc<MachineDesc>,
     store: Vec<mcc_machine::MicroInstr>,
     regs: Vec<Vec<u64>>,
     mem: Vec<u64>,
@@ -218,7 +220,8 @@ enum Seq {
 impl Simulator {
     /// Loads `program` onto machine `m`. Block-relative targets are
     /// resolved by flattening.
-    pub fn new(m: MachineDesc, program: &MicroProgram) -> Self {
+    pub fn new(m: impl Into<Arc<MachineDesc>>, program: &MicroProgram) -> Self {
+        let m = m.into();
         let store = program.flatten();
         let regs = m
             .files

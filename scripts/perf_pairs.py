@@ -2,13 +2,20 @@
 """Paired parent/child runs of the repository benchmark, recorded in BENCH_perf.json.
 
     python3 scripts/perf_pairs.py [--parent REV] [--pairs N] [--work DIR] [--parent-dir DIR]
+                                  [--workloads A,B] [--first-seed S]
 
 Run it from the repository root. The child is the working tree; the parent
 (default HEAD) is checked out in a `git worktree` under --work, unless
---parent-dir names an existing checkout of it. Each side builds into its own
-CARGO_TARGET_DIR under --work and runs its own perfbench/run.py, untraced,
-for BENCHMARK.json's run_seconds. Pair i of a workload runs seed i + 1 on
-both sides; the parent goes first in even pairs and the child in odd ones.
+--parent-dir names an existing copy of it. When that copy is a git checkout,
+the recorded parent revision is its HEAD, not --parent. A parent equal to a
+clean HEAD is refused: it would record a commit against itself.
+
+Each side builds into its own CARGO_TARGET_DIR under --work and runs its own
+perfbench/run.py, untraced, for BENCHMARK.json's run_seconds. Pair i of a
+workload runs seed first-seed + i (default first-seed 1) on both sides; the
+parent goes first in even pairs and the child in odd ones. --workloads
+limits the run to some of BENCHMARK.json's workloads, and a later
+--first-seed re-checks a claim on seeds not used while developing it.
 
 For each workload one record is appended to BENCH_perf.json. For every
 end-to-end metric of BENCHMARK.json it holds each side's median and
@@ -35,8 +42,22 @@ def log(msg):
     print(f"perf_pairs: {msg}", file=sys.stderr, flush=True)
 
 
-def git(*args):
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+def git(*args, cwd=ROOT):
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def revision(tree):
+    """HEAD of the checkout at `tree`, marked when it has local changes."""
+    return git("rev-parse", "HEAD", cwd=tree) + ("+worktree" if git("status", "--porcelain", cwd=tree) else "")
+
+
+def is_checkout(tree):
+    """Whether `tree` is the top of a git checkout of its own."""
+    try:
+        top = git("rev-parse", "--show-toplevel", cwd=tree)
+    except (subprocess.CalledProcessError, OSError):
+        return False
+    return os.path.realpath(top) == os.path.realpath(tree)
 
 
 def cpu_model():
@@ -114,19 +135,34 @@ def main():
     ap.add_argument("--parent", default="HEAD", help="parent revision (default HEAD)")
     ap.add_argument("--pairs", type=int, default=10, help="pairs per workload (default 10)")
     ap.add_argument("--work", default=os.path.join(ROOT, ".bench_pairs"), help="worktree and build directory")
-    ap.add_argument("--parent-dir", help="an existing checkout of the parent, used instead of a worktree")
+    ap.add_argument("--parent-dir", help="an existing copy of the parent, used instead of a worktree")
+    ap.add_argument("--workloads", help="comma-separated workloads (default: every one in BENCHMARK.json)")
+    ap.add_argument("--first-seed", type=int, default=1, help="seed of the first pair (default 1)")
     a = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         bench = json.load(f)
     seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
+    if a.workloads:
+        chosen = a.workloads.split(",")
+        unknown = sorted(set(chosen) - set(workloads))
+        if unknown:
+            ap.error(f"unknown workloads {unknown}; BENCHMARK.json has {workloads}")
+        workloads = [w for w in workloads if w in chosen]
+    seeds = [a.first_seed + i for i in range(a.pairs)]
 
-    parent_rev = git("rev-parse", "--verify", f"{a.parent}^{{commit}}")
-    child_rev = git("rev-parse", "HEAD") + ("+worktree" if git("status", "--porcelain") else "")
+    parent_tree = os.path.abspath(a.parent_dir) if a.parent_dir else None
+    if parent_tree and is_checkout(parent_tree):
+        parent_rev = revision(parent_tree)
+    else:
+        parent_rev = git("rev-parse", "--verify", f"{a.parent}^{{commit}}")
+    child_rev = revision(ROOT)
+    if parent_rev == child_rev == git("rev-parse", "HEAD"):
+        ap.error(f"the parent {parent_rev} is the clean HEAD: there is no change to measure")
     work = os.path.abspath(a.work)
     os.makedirs(work, exist_ok=True)
     worktree = None
-    parent_tree = os.path.abspath(a.parent_dir) if a.parent_dir else None
     if parent_tree is None:
         worktree = os.path.join(work, "parent")
         if os.path.exists(worktree):
@@ -140,11 +176,10 @@ def main():
     lines = {side: non_test_lines(tree) for side, (tree, _) in sides.items()}
     out_path = os.path.join(ROOT, "BENCH_perf.json")
     try:
-        for workload in (w["name"] for w in bench["workloads"]):
+        for workload in workloads:
             runs = []
             results = {"parent": [], "child": []}
-            for i in range(a.pairs):
-                seed = i + 1
+            for i, seed in enumerate(seeds):
                 order = ["parent", "child"] if i % 2 == 0 else ["child", "parent"]
                 for side in order:
                     tree, target = sides[side]
@@ -167,6 +202,7 @@ def main():
                 "parent_rev": parent_rev,
                 "child_rev": child_rev,
                 "run_seconds": seconds,
+                "seeds": seeds,
                 "trace": 0,
                 "host": {"cpu": cpu_model(), "cpus": os.cpu_count()},
                 "metrics": {m["name"]: compare(m, values("parent", m["name"]), values("child", m["name"]))
