@@ -1,27 +1,29 @@
-//! The on-disk cache tier — an append-only, checksummed record log with
-//! the harness journal's crash-only discipline.
+//! The on-disk cache tier — an append-only, checksummed record log
+//! sealed and recovered by the harness's sealed-log codec
+//! ([`mcc_harness::sealed`]).
 //!
 //! `.mcc-cache/cache.log` holds one header line plus one line per
 //! artifact:
 //!
 //! ```text
 //! H <salt>
-//! A <key:032x> <sum:016x> <payload>
+//! A <key:032x> <payload> <sum:016x>
 //! ```
 //!
-//! where `sum` is the 64-bit FNV-1a of `"<key:032x> <payload>"`. Records
-//! are append-only and fsynced; recovery on open walks the log from the
-//! top and **truncates at the first line that is torn** (no trailing
-//! newline), fails its checksum, or fails to parse — exactly the
-//! journal's prefix-only recovery rule. A header whose salt does not
-//! match the running toolkit invalidates the whole store (the file is
-//! reset), so format or version bumps self-evict.
+//! where `sum` is the 64-bit FNV-1a of `"<key:032x> <payload>"`, as
+//! exactly 16 lowercase hex digits. Records are append-only and
+//! fsynced; recovery on open keeps the log's intact prefix and
+//! **truncates at the first line that is torn** (no trailing newline),
+//! is not UTF-8, fails its checksum, or fails to parse — the journal's
+//! prefix-only recovery rule. A header whose salt does not match the
+//! running toolkit invalidates the whole store (the file is reset), so
+//! format or version bumps self-evict.
 //!
 //! `.mcc-cache/stats.log` accumulates per-process counter deltas
 //! (`S <hits_mem> <hits_disk> <misses> <stores> <evictions> <sum:016x>`;
 //! older four-field records still parse) so `mcc cache stats` can report
-//! lifetime hit rates across processes; torn or corrupt stats lines are
-//! simply skipped.
+//! lifetime hit rates across processes; torn, corrupt or non-UTF-8
+//! stats lines are simply skipped.
 //!
 //! The store is **bounded**: a configurable byte cap
 //! (`MCC_CACHE_MAX_BYTES`, default 256 MiB, `0` = unbounded) triggers
@@ -33,24 +35,20 @@
 //! lock around every append, closing the torn-counter interleaving that
 //! unlocked concurrent `exp_all --jobs N` runs could produce.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use mcc_harness::sealed;
+
 use crate::lock::ExclusiveLock;
 use crate::{toolkit_salt, CacheKey, Counters};
 
-/// 64-bit FNV-1a — the same function, with the same parameters, as the
-/// harness journal's record checksums.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// 64-bit FNV-1a, the harness's sealed-log checksum, which the cache's
+/// record and stats lines share. Re-exported under this path because
+/// `perfbench` imports it from here.
+pub use mcc_harness::sealed::fnv1a;
 
 const CACHE_LOG: &str = "cache.log";
 const STATS_LOG: &str = "stats.log";
@@ -74,33 +72,44 @@ pub fn configured_cap() -> Option<u64> {
     }
 }
 
-/// Renders one artifact record line (checksummed, newline-terminated).
-fn record_line(key: u128, payload: &str) -> String {
-    let body = format!("{key:032x} {payload}");
-    format!("A {body} {:016x}\n", fnv1a(body.as_bytes()))
+/// The log's first line, naming the salt its records were written under.
+fn header_line() -> String {
+    format!("H {}\n", toolkit_salt())
 }
 
-/// Walks log `text` from the top: returns the records of the valid
-/// prefix in append (= age) order and the prefix's byte length. Stops at
-/// the first torn, corrupt, or unparsable line, exactly like the
-/// journal.
-fn scan_records(text: &str, header: &str) -> (Vec<(u128, String)>, usize) {
-    let mut records = Vec::new();
-    let mut valid = 0usize;
-    if let Some(rest) = text.strip_prefix(header) {
-        valid = header.len();
-        for line in rest.split_inclusive('\n') {
-            if !line.ends_with('\n') {
-                break; // torn tail
-            }
-            let Some(rec) = parse_record(&line[..line.len() - 1]) else {
-                break; // corrupt record: truncate from here
-            };
-            records.push(rec);
-            valid += line.len();
-        }
-    }
-    (records, valid)
+/// Renders a `<tag> <body> <sum:016x>` line, `sum` being the FNV-1a of
+/// `body`.
+fn sum_line(tag: char, body: &str) -> String {
+    format!("{tag} {body} {:016x}\n", fnv1a(body.as_bytes()))
+}
+
+/// The body of a `<tag> <body> <sum:016x>` line (without its newline)
+/// whose sum checks.
+fn checked_body(line: &str, tag: char) -> Option<&str> {
+    // The sum is the last field: a payload may itself hold spaces.
+    let (body, sum_hex) = line
+        .strip_prefix(tag)?
+        .strip_prefix(' ')?
+        .rsplit_once(' ')?;
+    sealed::verify(body.as_bytes(), sum_hex).then_some(body)
+}
+
+/// Renders one artifact record line (checksummed, newline-terminated).
+fn record_line(key: u128, payload: &str) -> String {
+    sum_line('A', &format!("{key:032x} {payload}"))
+}
+
+/// The distinct records of the log's intact prefix, in append (= age)
+/// order, and the prefix's byte length; `(empty, 0)` when the header is
+/// not `header`.
+fn scan_records(log: &[u8], header: &str) -> (VecDeque<(u128, String)>, usize) {
+    let Some(rest) = log.strip_prefix(header.as_bytes()) else {
+        return (VecDeque::new(), 0);
+    };
+    let (records, len) = sealed::prefix(rest, |line, _| parse_record(line));
+    let mut seen = HashSet::new();
+    let distinct = records.into_iter().filter(|(key, _)| seen.insert(*key));
+    (distinct.collect(), header.len() + len)
 }
 
 /// The artifact store under one cache directory.
@@ -154,33 +163,22 @@ impl DiskTier {
             .create(true)
             .truncate(false)
             .open(&path)?;
-        let mut text = String::new();
-        // Invalid UTF-8 means a corrupt store: recover by resetting.
+        // Keep the intact prefix: a torn, corrupt or non-UTF-8 line ends
+        // it, and only a missing or stale header resets the store.
         let mut raw = Vec::new();
         log.read_to_end(&mut raw)?;
-        match String::from_utf8(raw) {
-            Ok(s) => text = s,
-            Err(_) => text.clear(),
-        }
 
-        let header = format!("H {}\n", toolkit_salt());
-        let (records, valid) = scan_records(&text, &header);
-        let mut index = HashMap::new();
-        let mut order = VecDeque::new();
-        for (key, payload) in records {
-            if index.insert(key, payload).is_none() {
-                order.push_back(key);
-            }
-        }
+        let header = header_line();
+        let (records, valid) = scan_records(&raw, &header);
+        let order = records.iter().map(|(key, _)| *key).collect();
+        let index = records.into_iter().collect();
 
-        if valid != text.len() || valid == 0 {
+        if valid != raw.len() || valid == 0 {
             // Reset to the valid prefix (or to a fresh header).
             log.set_len(valid as u64)?;
             if valid == 0 {
                 log.seek(SeekFrom::Start(0))?;
                 log.write_all(header.as_bytes())?;
-                index.clear();
-                order.clear();
             }
             log.sync_data()?;
         }
@@ -242,7 +240,7 @@ impl DiskTier {
             return Ok(());
         }
         let line = record_line(key.0, payload);
-        let header_len = format!("H {}\n", toolkit_salt()).len() as u64;
+        let header_len = header_line().len() as u64;
         // Lock through a duplicated handle (same open file description,
         // so the same flock) to leave `self` free for `evict_to_fit`.
         let lockf = self.lockfile.try_clone()?;
@@ -277,20 +275,11 @@ impl DiskTier {
     /// `budget`, then atomically replace `cache.log` via a tmp-file
     /// rename.
     fn evict_to_fit(&mut self, budget: u64) -> io::Result<()> {
-        let header = format!("H {}\n", toolkit_salt());
+        let header = header_line();
         self.log.seek(SeekFrom::Start(0))?;
         let mut raw = Vec::new();
         self.log.read_to_end(&mut raw)?;
-        let text = String::from_utf8(raw).unwrap_or_default();
-        let (records, _) = scan_records(&text, &header);
-
-        let mut keep: VecDeque<(u128, String)> = VecDeque::new();
-        let mut seen = std::collections::HashSet::new();
-        for (key, payload) in records {
-            if seen.insert(key) {
-                keep.push_back((key, payload));
-            }
-        }
+        let (mut keep, _) = scan_records(&raw, &header);
         let mut total = header.len() as u64
             + keep
                 .iter()
@@ -301,10 +290,8 @@ impl DiskTier {
                 break;
             };
             total -= record_line(key, &payload).len() as u64;
-            self.index.remove(&key);
             self.evictions += 1;
         }
-        self.order.retain(|k| keep.iter().any(|(kk, _)| kk == k));
 
         let tmp_path = self.dir.join(format!("{CACHE_LOG}.tmp-{}", std::process::id()));
         {
@@ -319,8 +306,8 @@ impl DiskTier {
 
         // Rebuild the in-memory view from what survived and reopen the
         // handle onto the new inode, positioned for appends.
-        self.index = keep.iter().cloned().collect();
-        self.order = keep.iter().map(|(k, _)| *k).collect();
+        self.order = keep.iter().map(|(key, _)| *key).collect();
+        self.index = keep.into_iter().collect();
         self.log = OpenOptions::new()
             .read(true)
             .write(true)
@@ -337,11 +324,13 @@ impl DiskTier {
     ///
     /// Propagates I/O errors from the append.
     pub fn append_stats(&self, delta: Counters) -> io::Result<()> {
-        let body = format!(
-            "{} {} {} {} {}",
-            delta.hits_memory, delta.hits_disk, delta.misses, delta.stores, delta.evictions
+        let line = sum_line(
+            'S',
+            &format!(
+                "{} {} {} {} {}",
+                delta.hits_memory, delta.hits_disk, delta.misses, delta.stores, delta.evictions
+            ),
         );
-        let line = format!("S {body} {:016x}\n", fnv1a(body.as_bytes()));
         let _guard = ExclusiveLock::acquire(&self.lockfile);
         let mut f = OpenOptions::new()
             .append(true)
@@ -352,43 +341,28 @@ impl DiskTier {
     }
 }
 
-/// Parses `<key:032x> <sum:016x>`-framed record *after* the `A ` tag;
-/// input is the line without its trailing newline.
+/// Parses one `A <key:032x> <payload> <sum:016x>` record line (without
+/// its trailing newline).
 fn parse_record(line: &str) -> Option<(u128, String)> {
-    let body_and_sum = line.strip_prefix("A ")?;
-    // The checksum is the fixed-width final field.
-    let (body, sum_hex) = body_and_sum.rsplit_once(' ')?;
-    let sum = u64::from_str_radix(sum_hex, 16).ok()?;
-    if sum_hex.len() != 16 || fnv1a(body.as_bytes()) != sum {
-        return None;
-    }
-    let (key_hex, payload) = body.split_once(' ')?;
+    let (key_hex, payload) = checked_body(line, 'A')?.split_once(' ')?;
     let key = u128::from_str_radix(key_hex, 16).ok()?;
-    if key_hex.len() != 32 {
-        return None;
-    }
-    Some((key, payload.to_string()))
+    (key_hex.len() == 32).then(|| (key, payload.to_string()))
 }
 
 /// Sums every valid record in a cache directory's stats log. Missing
-/// files read as zero; torn or corrupt lines are skipped.
+/// files read as zero; torn, corrupt or non-UTF-8 lines are skipped.
 pub fn read_stats(dir: &Path) -> Counters {
     let mut total = Counters::default();
-    let Ok(text) = std::fs::read_to_string(dir.join(STATS_LOG)) else {
+    let Ok(log) = std::fs::read(dir.join(STATS_LOG)) else {
         return total;
     };
-    for line in text.lines() {
-        let Some(body_and_sum) = line.strip_prefix("S ") else {
+    for line in log.split(|&b| b == b'\n') {
+        let Some(body) = std::str::from_utf8(line)
+            .ok()
+            .and_then(|l| checked_body(l, 'S'))
+        else {
             continue;
         };
-        let Some((body, sum_hex)) = body_and_sum.rsplit_once(' ') else {
-            continue;
-        };
-        if sum_hex.len() != 16
-            || u64::from_str_radix(sum_hex, 16).ok() != Some(fnv1a(body.as_bytes()))
-        {
-            continue;
-        }
         // Four numbers (pre-eviction format) or five.
         let nums: Option<Vec<u64>> = body.split(' ').map(|n| n.parse::<u64>().ok()).collect();
         let Some(nums) = nums else { continue };
@@ -521,8 +495,7 @@ mod tests {
         })
         .unwrap();
         // A four-field record from an older toolkit still parses.
-        let old_body = "2 0 0 1";
-        let old_line = format!("S {old_body} {:016x}\n", fnv1a(old_body.as_bytes()));
+        let old_line = sum_line('S', "2 0 0 1");
         // A torn stats line is skipped, not fatal.
         let mut f = OpenOptions::new()
             .append(true)
@@ -540,11 +513,61 @@ mod tests {
     }
 
     #[test]
+    fn a_non_utf8_stats_line_is_skipped_not_fatal() {
+        let dir = tmp("stats-utf8");
+        let t = DiskTier::open(&dir).unwrap();
+        let one = Counters {
+            misses: 1,
+            ..Counters::default()
+        };
+        t.append_stats(one).unwrap();
+        let mut f = OpenOptions::new()
+            .append(true)
+            .open(dir.join(STATS_LOG))
+            .unwrap();
+        f.write_all(b"S 9 \xff 9\n").unwrap();
+        drop(f);
+        t.append_stats(one).unwrap();
+        assert_eq!(read_stats(&dir).misses, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn eviction_rescan_keeps_the_prefix_before_a_non_utf8_tail() {
+        let dir = tmp("evict-utf8");
+        let payload = "é".repeat(32);
+        let line_len = record_line(0, &payload).len() as u64;
+        let header_len = header_line().len() as u64;
+        let cap = header_len + 3 * line_len;
+        let mut t = DiskTier::open_with_cap(&dir, Some(cap)).unwrap();
+        t.store(CacheKey(1), &payload).unwrap();
+        t.store(CacheKey(2), &payload).unwrap();
+        // Another process tore an append inside a multi-byte character.
+        let mut f = OpenOptions::new()
+            .append(true)
+            .open(dir.join(CACHE_LOG))
+            .unwrap();
+        f.write_all(&record_line(9, &payload).as_bytes()[..40])
+            .unwrap();
+        drop(f);
+        // The third store overflows the cap and re-scans the log: the two
+        // intact records survive, the torn tail does not.
+        t.store(CacheKey(3), &payload).unwrap();
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.evictions(), 0);
+        drop(t);
+        let t = DiskTier::open_with_cap(&dir, Some(cap)).unwrap();
+        assert!((1..=3).all(|k| t.lookup(CacheKey(k)) == Some(&payload)));
+        assert_eq!(log_bytes(&dir), cap);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn byte_cap_evicts_oldest_first() {
         let dir = tmp("cap");
         let payload = "x".repeat(64);
         let line_len = record_line(0, &payload).len() as u64;
-        let header_len = format!("H {}\n", toolkit_salt()).len() as u64;
+        let header_len = header_line().len() as u64;
         // Room for exactly three records.
         let cap = header_len + 3 * line_len;
         let mut t = DiskTier::open_with_cap(&dir, Some(cap)).unwrap();
@@ -573,7 +596,7 @@ mod tests {
     #[test]
     fn oversized_record_is_refused_not_thrashed() {
         let dir = tmp("oversize");
-        let header_len = format!("H {}\n", toolkit_salt()).len() as u64;
+        let header_len = header_line().len() as u64;
         let cap = header_len + record_line(0, "small").len() as u64;
         let mut t = DiskTier::open_with_cap(&dir, Some(cap)).unwrap();
         t.store(CacheKey(1), "small").unwrap();

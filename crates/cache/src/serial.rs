@@ -10,9 +10,9 @@
 //!   iteration order, so the same artifact always serialises to the
 //!   same bytes;
 //! * **single line** — quoted strings escape control characters
-//!   (journal `esc` rules), so one record occupies exactly one
-//!   newline-terminated line of the on-disk log and torn-tail recovery
-//!   stays a line-level concern;
+//!   through the journal's escaper ([`mcc_harness::json::esc_into`]), so
+//!   one record occupies exactly one newline-terminated line of the
+//!   on-disk log and torn-tail recovery stays a line-level concern;
 //! * **volatile fields excluded** — `CompileStats::pass_nanos` and
 //!   `CompileStats::cached` never enter the serialisation. That makes
 //!   `serialize_artifact` the *equality witness* the differential tests
@@ -28,6 +28,7 @@ use std::sync::Arc;
 
 use mcc_core::passes::Warning;
 use mcc_core::{Artifact, CompileStats};
+use mcc_harness::json::esc_into;
 use mcc_machine::op::MicroBlock;
 use mcc_machine::{BoundOp, CondKind, FileId, MachineDesc, MicroInstr, MicroProgram, RegRef, TemplateId};
 use mcc_mir::operand::VReg;
@@ -40,19 +41,7 @@ const MAGIC: &str = "mccart1";
 
 fn push_qstr(out: &mut String, s: &str) {
     out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    esc_into(out, s);
     out.push('"');
 }
 

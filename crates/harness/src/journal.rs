@@ -1,35 +1,26 @@
 //! The crash-only campaign journal: a JSONL append log with an fsync'd
-//! header and per-record checksums.
+//! header and per-record seals ([`crate::sealed`]).
 //!
 //! Every completed job appends exactly one line, flushed and fsync'd
 //! before the supervisor considers the job finished. A kill — SIGKILL,
 //! panic, power loss — can therefore lose at most the record being
-//! written, and that torn tail is detectable: a record whose line is
-//! incomplete, whose checksum fails, or whose sequence number breaks the
-//! chain is dropped along with everything after it, and the file is
-//! truncated back to the last durable record before new appends. Resume
-//! is a pure replay: recovered `ok`/`failed`/`skipped` records are final,
-//! and only jobs absent from the journal execute.
+//! written, and that torn tail is detectable: recovery keeps the sealed
+//! log's intact prefix, so a record whose line is incomplete, is not
+//! UTF-8, fails its seal, or breaks the sequence chain is dropped along
+//! with everything after it, and the file is truncated back to the last
+//! durable record before new appends. Resume is a pure replay:
+//! recovered `ok`/`failed`/`skipped` records are final, and only jobs
+//! absent from the journal execute.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::json::{esc, get_num, get_str, parse_object, Val};
+use crate::sealed::{self, seal, unseal};
 
 /// Journal format version; bumped on any incompatible record change.
 pub const JOURNAL_VERSION: u64 = 1;
-
-/// FNV-1a over bytes: the journal's checksum and fingerprint hash. Not
-/// cryptographic — it detects torn writes, not adversaries.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// How a journaled job ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,24 +114,6 @@ impl From<std::io::Error> for JournalError {
 
 // ------------------------------------------------------------ encoding ----
 
-/// Seals a record body (a JSON object *without* the `sum` field) by
-/// splicing in `"sum"` over the body's FNV, producing the journal line.
-fn seal(body: String) -> String {
-    let sum = fnv1a(body.as_bytes());
-    debug_assert!(body.ends_with('}'));
-    format!("{},\"sum\":\"{sum:016x}\"}}\n", &body[..body.len() - 1])
-}
-
-/// Splits a sealed line back into its body and verifies the checksum.
-fn unseal(line: &str) -> Option<String> {
-    let idx = line.rfind(",\"sum\":\"")?;
-    let tail = &line[idx + 8..];
-    let hex = tail.strip_suffix("\"}")?;
-    let sum = u64::from_str_radix(hex, 16).ok()?;
-    let body = format!("{}}}", &line[..idx]);
-    (fnv1a(body.as_bytes()) == sum).then_some(body)
-}
-
 fn header_body(h: &Header) -> String {
     format!(
         "{{\"v\":{JOURNAL_VERSION},\"kind\":\"header\",\"campaign\":\"{}\",\"seed\":{},\"jobs\":{},\"fingerprint\":\"{:016x}\"}}",
@@ -222,7 +195,7 @@ impl Journal {
             .write(true)
             .truncate(true)
             .open(path)?;
-        file.write_all(seal(header_body(header)).as_bytes())?;
+        file.write_all(seal(&header_body(header)).as_bytes())?;
         file.sync_data()?;
         Ok(Journal { file, next_seq: 0 })
     }
@@ -232,10 +205,11 @@ impl Journal {
     /// any), truncates the file back to the durable prefix, and returns
     /// the recovered records plus the journal reopened for append.
     ///
-    /// Recovery is prefix-only by construction: the first line that is
-    /// incomplete, fails its checksum, or breaks the dense sequence
-    /// terminates the replay — everything before it was fsync'd in order,
-    /// so nothing durable is ever dropped.
+    /// Recovery is prefix-only by construction ([`sealed::prefix`]): the
+    /// first line that is incomplete, not UTF-8, fails its seal, or
+    /// breaks the dense sequence terminates the replay — everything
+    /// before it was fsync'd in order, so nothing durable is ever
+    /// dropped.
     ///
     /// # Errors
     ///
@@ -245,15 +219,16 @@ impl Journal {
     /// filesystem trouble.
     pub fn recover(path: &Path, expect: &Header) -> Result<(Journal, Vec<JobRecord>), JournalError> {
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        let mut text = String::new();
-        file.read_to_string(&mut text)?;
+        let mut log = Vec::new();
+        file.read_to_end(&mut log)?;
 
-        let mut good_bytes = 0usize;
-        let mut lines = text.split_inclusive('\n');
-        let head_line = lines.next().unwrap_or("");
-        let header = head_line
-            .strip_suffix('\n')
-            .and_then(parse_header)
+        // The header is the first line, and only the first.
+        let (mut head, head_len) = sealed::prefix(&log, |line, seen: &[Header]| match seen {
+            [] => parse_header(line),
+            _ => None,
+        });
+        let header = head
+            .pop()
             .ok_or_else(|| JournalError::BadHeader("torn or malformed first line".into()))?;
         if header != *expect {
             return Err(JournalError::Mismatch(format!(
@@ -269,27 +244,14 @@ impl Journal {
                 expect.fingerprint,
             )));
         }
-        good_bytes += head_line.len();
-
-        let mut records = Vec::new();
-        for line in lines {
-            let Some(stripped) = line.strip_suffix('\n') else {
-                break; // torn tail: no newline made it to disk
-            };
-            let Some(rec) = parse_record(stripped) else {
-                break; // torn or corrupt: drop it and everything after
-            };
-            if rec.seq != records.len() as u64 {
-                break; // sequence chain broken
-            }
-            good_bytes += line.len();
-            records.push(rec);
-        }
+        let (records, body_len) = sealed::prefix(&log[head_len..], |line, seen: &[JobRecord]| {
+            parse_record(line).filter(|r| r.seq == seen.len() as u64)
+        });
 
         // Truncate away the torn tail so future appends extend a clean
         // prefix (a torn record must only ever be the last thing in the
         // file).
-        file.set_len(good_bytes as u64)?;
+        file.set_len((head_len + body_len) as u64)?;
         file.seek(SeekFrom::End(0))?;
         let next_seq = records.len() as u64;
         Ok((Journal { file, next_seq }, records))
@@ -303,7 +265,7 @@ impl Journal {
     /// [`JournalError::Io`] on filesystem trouble.
     pub fn append(&mut self, mut rec: JobRecord) -> Result<u64, JournalError> {
         rec.seq = self.next_seq;
-        self.file.write_all(seal(record_body(&rec)).as_bytes())?;
+        self.file.write_all(seal(&record_body(&rec)).as_bytes())?;
         self.file.sync_data()?;
         self.next_seq += 1;
         Ok(rec.seq)
@@ -317,7 +279,7 @@ impl Journal {
     ///
     /// [`JournalError::Io`] on filesystem trouble.
     pub fn append_torn(&mut self, rec: &JobRecord) -> Result<(), JournalError> {
-        let line = seal(record_body(rec));
+        let line = seal(&record_body(rec));
         self.file.write_all(&line.as_bytes()[..line.len() / 2])?;
         self.file.flush()?;
         Ok(())

@@ -26,6 +26,12 @@ pub enum Val {
 /// Escapes a string for embedding in a JSON string literal.
 pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    esc_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out`, escaped for embedding in a JSON string literal.
+pub fn esc_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -37,7 +43,6 @@ pub fn esc(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 struct P<'a> {

@@ -21,6 +21,8 @@
 //! * a crash-only **journal** ([`journal`]): every resolved job is
 //!   fsync'd to a JSONL log before it counts, and `--resume` replays the
 //!   log, skips finished jobs, and completes to a bit-identical table;
+//!   its seal and torn-tail walk ([`sealed`]) are shared with the cache
+//!   log and the serve trace;
 //! * **chaos mode** ([`chaos`]): seeded injection of worker panics,
 //!   deadline stalls, and a persistently failing victim key, plus a torn
 //!   journal tail, to prove all of the above under fire.
@@ -39,6 +41,7 @@ pub mod journal;
 pub mod json;
 pub mod pool;
 pub mod restart;
+pub mod sealed;
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::Path;
@@ -64,22 +67,15 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// The shared hash behind backoff jitter and chaos decisions: a pure
 /// function of `(campaign seed, job id, attempt)`.
 pub(crate) fn backoff_hash(seed: u64, job_id: &str, attempt: u32) -> u64 {
-    splitmix64(seed ^ journal::fnv1a(job_id.as_bytes()) ^ u64::from(attempt))
+    splitmix64(seed ^ sealed::fnv1a(job_id.as_bytes()) ^ u64::from(attempt))
 }
 
 /// Fingerprint of an ordered job-id list, stored in the journal header so
 /// a resume against a different job set is rejected instead of replayed.
+/// It is the FNV-1a of the ids, each followed by a `0xff` byte.
 pub fn fingerprint<'a>(ids: impl Iterator<Item = &'a str>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for id in ids {
-        for &b in id.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let fold = |h: sealed::Fnv1a, id: &str| h.write(id.as_bytes()).write(&[0xff]);
+    ids.fold(sealed::Fnv1a::default(), fold).finish()
 }
 
 /// One unit of campaign work.

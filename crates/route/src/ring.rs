@@ -12,19 +12,8 @@
 //! what makes failover cheap: the ring successor of a dead shard is a
 //! deterministic, minimal reassignment.
 
+use mcc_harness::sealed::fnv1a;
 use mcc_harness::splitmix64;
-
-/// FNV-1a over bytes, 64-bit — the ring's name hash. Local on purpose:
-/// the cache's 128-bit FNV keys content-address *artifacts*; this
-/// hashes *backend names*, and the two must be free to evolve apart.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// A consistent-hash ring over named backends.
 #[derive(Debug, Clone)]
@@ -48,7 +37,7 @@ impl Ring {
         assert!(vnodes > 0, "a backend needs at least one virtual node");
         let mut points = Vec::with_capacity(names.len() * vnodes);
         for (i, name) in names.iter().enumerate() {
-            let base = fnv64(name.as_bytes());
+            let base = fnv1a(name.as_bytes());
             for v in 0..vnodes {
                 points.push((splitmix64(base ^ splitmix64(v as u64 + 1)), i));
             }
@@ -196,6 +185,26 @@ mod tests {
         assert!(
             moved > fair / 2 && moved < fair * 2,
             "joiner claimed {moved} of {total} keys, fair share {fair}"
+        );
+    }
+
+    #[test]
+    fn placement_is_pinned() {
+        // Placement is part of every router's contract with its peers and
+        // with bench-serve's analytic tables: these literals must not move.
+        let ring = Ring::new(&names(3), 64);
+        let points = [0u128, 1, 42, 0xdead_beef, u128::MAX, 1 << 100].map(Ring::point_of);
+        assert_eq!(points.map(|p| ring.primary(p)), [2, 0, 0, 1, 2, 1]);
+        assert_eq!(
+            points.map(|p| ring.successors(p)),
+            [
+                [2, 0, 1],
+                [0, 1, 2],
+                [0, 1, 2],
+                [1, 0, 2],
+                [2, 0, 1],
+                [1, 0, 2]
+            ]
         );
     }
 

@@ -289,7 +289,7 @@ fn algo_from_name(name: &str) -> Option<mcc_compact::Algorithm> {
 /// conformance checksum clients use to prove cache invisibility (a warm
 /// hit must equal a cold compile byte for byte).
 fn artifact_checksum(art: &mcc_core::Artifact) -> u64 {
-    mcc_cache::disk::fnv1a(mcc_cache::serialize_artifact(art).as_bytes())
+    mcc_harness::sealed::fnv1a(mcc_cache::serialize_artifact(art).as_bytes())
 }
 
 /// The server's scalar series: what `stats` answers and what `metrics`

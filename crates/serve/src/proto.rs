@@ -35,8 +35,8 @@
 
 use std::collections::HashMap;
 
-use mcc_cache::disk::fnv1a;
 use mcc_harness::json::{esc, get_num, get_str, parse_object, Val};
+use mcc_harness::sealed::fnv1a;
 
 /// Hard cap on one inbound wire frame. A peer that sends a longer line gets a
 /// structured `400` and the connection is closed — it can never make a server

@@ -49,7 +49,7 @@ use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use mcc_cache::disk::fnv1a;
+use mcc_harness::sealed::fnv1a;
 
 use crate::proto::{Response, MAX_FRAME_BYTES};
 

@@ -1,6 +1,7 @@
-//! Structured per-request trace records: a JSONL append log with the
-//! campaign journal's sealing discipline ([`mcc_harness::journal`]) —
-//! every line carries an FNV-1a seal over its body and a dense sequence
+//! Structured per-request trace records: a JSONL append log sealed and
+//! replayed by the harness's sealed-log codec
+//! ([`mcc_harness::sealed`]), the campaign journal's discipline — every
+//! line carries an FNV-1a seal over its body and a dense sequence
 //! number, so a torn tail (a crash mid-append, a truncated copy) is
 //! detectable and replay recovers exactly the durable prefix.
 //!
@@ -19,11 +20,11 @@
 //! bench gates on.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use mcc_harness::json::{esc, get_num, get_str, parse_object};
-use mcc_harness::journal::fnv1a;
+use mcc_harness::sealed;
 
 use crate::qos::Class;
 
@@ -51,7 +52,7 @@ pub struct TraceRecord {
 impl TraceRecord {
     /// Renders the sealed JSONL line.
     fn to_line(&self, seq: u64) -> String {
-        let body = format!(
+        sealed::seal(&format!(
             "{{\"seq\":{seq},\"client\":\"{}\",\"tenant\":\"{}\",\"class\":\"{}\",\"id\":\"{}\",\"code\":{},\"tier\":{},\"us\":{}}}",
             esc(&self.client),
             esc(&self.tenant),
@@ -60,46 +61,23 @@ impl TraceRecord {
             self.code,
             self.tier,
             self.us
-        );
-        let sum = fnv1a(body.as_bytes());
-        format!("{},\"sum\":\"{sum:016x}\"}}\n", &body[..body.len() - 1])
+        ))
     }
 
-    /// Parses and verifies one sealed line. `None` for anything torn:
-    /// missing seal, bad checksum, missing fields.
-    fn from_line(line: &str) -> Option<(u64, TraceRecord)> {
-        let line = line.trim_end_matches('\n');
-        let idx = line.rfind(",\"sum\":\"")?;
-        let hex = line.get(idx + 8..idx + 24)?;
-        // Seals are canonical lowercase hex; `from_str_radix` alone
-        // would also accept a case-flipped seal as intact.
-        if !hex.chars().all(|c| c.is_ascii_digit() || ('a'..='f').contains(&c)) {
-            return None;
-        }
-        let sum = u64::from_str_radix(hex, 16).ok()?;
-        if !line.ends_with("\"}") || line.len() != idx + 26 {
-            return None;
-        }
-        let body = format!("{}}}", &line[..idx]);
-        if fnv1a(body.as_bytes()) != sum {
-            return None;
-        }
-        let m = parse_object(&body)?;
-        let seq = get_num(&m, "seq")?;
-        let class = Class::parse(Some(&get_str(&m, "class")?)).ok()?;
-        Some((
-            seq,
-            TraceRecord {
-                seq,
-                client: get_str(&m, "client")?,
-                tenant: get_str(&m, "tenant")?,
-                class,
-                id: get_str(&m, "id")?,
-                code: u16::try_from(get_num(&m, "code")?).ok()?,
-                tier: u8::try_from(get_num(&m, "tier")?).ok()?,
-                us: get_num(&m, "us")?,
-            },
-        ))
+    /// Parses and verifies one sealed line (without its newline). `None`
+    /// for anything torn: missing seal, bad checksum, missing fields.
+    fn from_line(line: &str) -> Option<TraceRecord> {
+        let m = parse_object(&sealed::unseal(line)?)?;
+        Some(TraceRecord {
+            seq: get_num(&m, "seq")?,
+            client: get_str(&m, "client")?,
+            tenant: get_str(&m, "tenant")?,
+            class: Class::parse(Some(&get_str(&m, "class")?)).ok()?,
+            id: get_str(&m, "id")?,
+            code: u16::try_from(get_num(&m, "code")?).ok()?,
+            tier: u8::try_from(get_num(&m, "tier")?).ok()?,
+            us: get_num(&m, "us")?,
+        })
     }
 }
 
@@ -134,36 +112,15 @@ impl TraceWriter {
     }
 }
 
-/// Replays a trace file: every sealed, sequence-dense record from the
-/// start, stopping at the first torn line. Returns the records plus
-/// whether a torn tail was dropped.
+/// Replays a trace file: the sealed, sequence-dense records of its
+/// intact prefix ([`sealed::prefix`]), plus whether anything after that
+/// prefix (a torn, corrupt or out-of-sequence tail) was dropped.
 pub fn replay(path: &Path) -> std::io::Result<(Vec<TraceRecord>, bool)> {
-    let mut reader = BufReader::new(File::open(path)?);
-    let mut records = Vec::new();
-    let mut torn = false;
-    let mut buf = String::new();
-    loop {
-        buf.clear();
-        let n = reader.read_line(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        if !buf.ends_with('\n') {
-            // No newline made it to disk: classic torn tail.
-            torn = true;
-            break;
-        }
-        match TraceRecord::from_line(&buf) {
-            Some((seq, rec)) if seq == records.len() as u64 + 1 => records.push(rec),
-            _ => {
-                // Torn, corrupt, or out of sequence: drop it and
-                // everything after — the prefix is the durable truth.
-                torn = true;
-                break;
-            }
-        }
-    }
-    Ok((records, torn))
+    let log = std::fs::read(path)?;
+    let (records, len) = sealed::prefix(&log, |line, seen: &[TraceRecord]| {
+        TraceRecord::from_line(line).filter(|r| r.seq == seen.len() as u64 + 1)
+    });
+    Ok((records, len < log.len()))
 }
 
 #[cfg(test)]
@@ -187,16 +144,16 @@ mod tests {
     fn records_round_trip_through_the_seal() {
         let r = rec(1);
         let line = r.to_line(1);
-        let (seq, back) = TraceRecord::from_line(&line).expect("sealed line parses");
-        assert_eq!(seq, 1);
+        let back = TraceRecord::from_line(line.trim_end_matches('\n')).expect("sealed line parses");
         assert_eq!(back, r);
     }
 
     #[test]
     fn any_single_byte_flip_is_detected() {
         let line = rec(1).to_line(1);
-        for i in 0..line.len() - 1 {
-            let mut bytes = line.clone().into_bytes();
+        let line = line.trim_end_matches('\n');
+        for i in 0..line.len() {
+            let mut bytes = line.as_bytes().to_vec();
             bytes[i] ^= 0x20;
             let flipped = String::from_utf8_lossy(&bytes).into_owned();
             if flipped == line {
