@@ -32,7 +32,7 @@ use mcc_mir::MirFunction;
 mod constraints;
 mod spill;
 
-pub use constraints::allowed_registers;
+use constraints::Candidates;
 
 /// Allocation strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -247,14 +247,8 @@ pub fn allocate(
             finalize(f, &report.locations);
             return Ok(report);
         }
-        let cand: BTreeMap<VReg, Vec<RegRef>> = vregs
-            .iter()
-            .map(|&v| {
-                let c = constraints::allowed_registers(m, f, v, opts.budget);
-                (v, c)
-            })
-            .collect();
-        if let Some((&v, _)) = cand.iter().find(|(_, c)| c.is_empty()) {
+        let cand = constraints::candidates(m, f, opts.budget);
+        if let Some(&v) = vregs.iter().find(|&&v| cand.count(v) == 0) {
             return Err(AllocError::NoCandidates(v));
         }
 
@@ -262,7 +256,7 @@ pub fn allocate(
         let graph = build_interference(f, &live);
 
         let assign = match opts.strategy {
-            Strategy::Coloring => color(&graph, &cand, opts.spread),
+            Strategy::Coloring => color(&graph, &vregs, &cand, opts.spread),
             Strategy::LinearScan => linear_scan(f, &live, &graph, &cand, opts.spread),
         };
 
@@ -282,7 +276,8 @@ pub fn allocate(
                 // real variable; otherwise (a spill temporary) the
                 // highest-degree spillable variable still in play.
                 let victim = if no_spill.contains(&failed) {
-                    cand.keys()
+                    vregs
+                        .iter()
                         .copied()
                         .filter(|v| !no_spill.contains(v))
                         .max_by_key(|&v| (graph.degree(v), std::cmp::Reverse(v.0)))
@@ -297,12 +292,6 @@ pub fn allocate(
                     report.locations.insert(victim, loc_of(&loc));
                 }
                 report.spilled += 1;
-                if std::env::var_os("MCC_ALLOC_DEBUG").is_some() {
-                    eprintln!(
-                        "round {}: failed {failed}, spilling {victim} to {loc:?}",
-                        report.rounds
-                    );
-                }
                 let before = f.vreg_count;
                 report.spill_moves += spiller.rewrite(f, victim, &loc);
                 for v in before..f.vreg_count {
@@ -321,16 +310,29 @@ fn loc_of(s: &spill::Slot) -> Location {
     }
 }
 
-/// Chaitin-style coloring. Returns `Err(vreg)` naming a spill candidate
-/// when coloring fails.
+/// The register bit to give a node among its `free` candidates: the
+/// first in (file, index) order, or under `spread` the least recently
+/// assigned (`last_used` ticks, 0 for never), ties to the first.
+fn pick(mut free: impl Iterator<Item = usize>, last_used: &[usize], spread: bool) -> Option<usize> {
+    if spread {
+        // Least-recently-assigned candidate: avoids serial reuse.
+        free.min_by_key(|&b| last_used[b])
+    } else {
+        free.next()
+    }
+}
+
+/// Chaitin-style coloring of `nodes`. Returns `Err(vreg)` naming a spill
+/// candidate when coloring fails.
 fn color(
     g: &Interference,
-    cand: &BTreeMap<VReg, Vec<RegRef>>,
+    nodes: &BTreeSet<VReg>,
+    cand: &Candidates,
     spread: bool,
 ) -> Result<BTreeMap<VReg, RegRef>, VReg> {
     let mut stack = Vec::new();
     let mut removed: BTreeSet<VReg> = BTreeSet::new();
-    let nodes: Vec<VReg> = cand.keys().copied().collect();
+    let nodes: Vec<VReg> = nodes.iter().copied().collect();
 
     // Simplify: repeatedly remove a node whose candidate count exceeds its
     // remaining degree (guaranteed colorable).
@@ -345,7 +347,7 @@ fn color(
                 .get(&v)
                 .map_or(0, |s| s.iter().filter(|n| !removed.contains(n)).count())
                 + g.phys.get(&v).map_or(0, |s| s.len());
-            if cand[&v].len() > deg {
+            if cand.count(v) > deg {
                 stack.push(v);
                 removed.insert(v);
                 progressed = true;
@@ -376,35 +378,24 @@ fn color(
 
     // Select: pop and color.
     let mut colors: BTreeMap<VReg, RegRef> = BTreeMap::new();
-    let mut last_used: HashMap<RegRef, usize> = HashMap::new();
+    let mut last_used = vec![0usize; cand.registers()];
     let mut tick = 0usize;
+    let mut taken = cand.empty();
     while let Some(v) = stack.pop() {
-        let mut taken: BTreeSet<RegRef> = g.phys.get(&v).cloned().unwrap_or_default();
-        if let Some(ns) = g.edges.get(&v) {
-            for n in ns {
-                if let Some(&c) = colors.get(n) {
-                    taken.insert(c);
-                }
+        taken.fill(0);
+        for &r in g.phys.get(&v).into_iter().flatten() {
+            cand.insert(&mut taken, r);
+        }
+        for n in g.edges.get(&v).into_iter().flatten() {
+            if let Some(&c) = colors.get(n) {
+                cand.insert(&mut taken, c);
             }
         }
-        let free: Vec<RegRef> = cand[&v]
-            .iter()
-            .copied()
-            .filter(|r| !taken.contains(r))
-            .collect();
-        let pick = if spread {
-            // Least-recently-assigned candidate: avoids serial reuse.
-            free.iter()
-                .copied()
-                .min_by_key(|r| (last_used.get(r).copied().unwrap_or(0), r.file.0, r.index))
-        } else {
-            free.first().copied()
-        };
-        match pick {
-            Some(r) => {
+        match pick(cand.free(v, &taken), &last_used, spread) {
+            Some(b) => {
                 tick += 1;
-                last_used.insert(r, tick);
-                colors.insert(v, r);
+                last_used[b] = tick;
+                colors.insert(v, cand.reg(b));
             }
             None => return Err(v),
         }
@@ -417,7 +408,7 @@ fn linear_scan(
     f: &MirFunction,
     live: &Liveness,
     g: &Interference,
-    cand: &BTreeMap<VReg, Vec<RegRef>>,
+    cand: &Candidates,
     spread: bool,
 ) -> Result<BTreeMap<VReg, RegRef>, VReg> {
     // Linear positions: block order, op order; block boundaries count.
@@ -467,31 +458,24 @@ fn linear_scan(
 
     let mut active: Vec<(usize, VReg, RegRef)> = Vec::new(); // (end, vreg, reg)
     let mut colors: BTreeMap<VReg, RegRef> = BTreeMap::new();
-    let mut last_used: HashMap<RegRef, usize> = HashMap::new();
+    let mut last_used = vec![0usize; cand.registers()];
     let mut tick = 0usize;
+    let mut taken = cand.empty();
     for v in order {
         let (start, end) = intervals[&v];
         active.retain(|&(e, _, _)| e >= start);
-        let mut taken: BTreeSet<RegRef> = active.iter().map(|&(_, _, r)| r).collect();
-        if let Some(ps) = g.phys.get(&v) {
-            taken.extend(ps.iter().copied());
+        taken.fill(0);
+        for &(_, _, r) in &active {
+            cand.insert(&mut taken, r);
         }
-        let free: Vec<RegRef> = cand[&v]
-            .iter()
-            .copied()
-            .filter(|r| !taken.contains(r))
-            .collect();
-        let pick = if spread {
-            free.iter()
-                .copied()
-                .min_by_key(|r| (last_used.get(r).copied().unwrap_or(0), r.file.0, r.index))
-        } else {
-            free.first().copied()
-        };
-        match pick {
-            Some(r) => {
+        for &r in g.phys.get(&v).into_iter().flatten() {
+            cand.insert(&mut taken, r);
+        }
+        match pick(cand.free(v, &taken), &last_used, spread) {
+            Some(b) => {
                 tick += 1;
-                last_used.insert(r, tick);
+                last_used[b] = tick;
+                let r = cand.reg(b);
                 colors.insert(v, r);
                 active.push((end, v, r));
             }
@@ -500,7 +484,7 @@ fn linear_scan(
                 // or this one if it ends last.
                 let victim = active
                     .iter()
-                    .filter(|(_, av, _)| cand[&v].iter().any(|c| colors.get(av) == Some(c)))
+                    .filter(|&&(_, _, r)| cand.contains(v, r))
                     .max_by_key(|&&(e, _, _)| e)
                     .map(|&(_, av, _)| av);
                 return Err(match victim {

@@ -2,7 +2,7 @@
 """Paired parent/child runs of the repository benchmark, recorded in BENCH_perf.json.
 
     python3 scripts/perf_pairs.py [--parent REV] [--pairs N] [--work DIR] [--parent-dir DIR]
-                                  [--workloads A,B] [--first-seed S]
+                                  [--workloads A,B] [--first-seed S] [--trace-seeds S1,S2]
 
 Run it from the repository root. The child is the working tree; the parent
 (default HEAD) is checked out in a `git worktree` under --work, unless
@@ -24,6 +24,13 @@ direction BENCHMARK.json gives, and the child's relative change against
 the bound. It also holds every run's `correct` flag and both revisions'
 non-test lines per crate: the lines above the first `#[cfg(test)]` of each
 `src/**/*.rs`, the root package counted as `mcc`.
+
+--trace-seeds adds the per-layer before/after. After a workload's untraced
+pairs, each side makes one `--trace 1` run per listed seed, the sides
+alternating which goes first, and the record gains a `per_layer` key: the
+seeds, each traced run's side, order and `correct` flag, and for every
+per-layer metric of BENCHMARK.json its value per side, one per seed in
+`seeds` order (null where a run did not report it).
 """
 
 import argparse
@@ -94,11 +101,11 @@ def non_test_lines(tree):
     return counts
 
 
-def run_once(tree, target, workload, seed, seconds):
-    """One untraced benchmark run; the parsed result line, or None."""
+def run_once(tree, target, workload, seed, seconds, trace=0):
+    """One benchmark run; the parsed result line, or None."""
     env = dict(os.environ, CARGO_TARGET_DIR=target)
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -130,6 +137,30 @@ def compare(metric, parent, child):
     return out
 
 
+def metric_value(res, name):
+    """A metric's value in a parsed result line, or None."""
+    return res["metrics"][name]["value"] if res and name in res.get("metrics", {}) else None
+
+
+def per_layer_runs(bench, sides, workload, seeds, seconds):
+    """One traced run per side per seed, alternating which side goes first."""
+    runs = []
+    results = {"parent": [], "child": []}
+    for i, seed in enumerate(seeds):
+        order = ["parent", "child"] if i % 2 == 0 else ["child", "parent"]
+        for side in order:
+            tree, target = sides[side]
+            log(f"{workload} traced seed {seed}: {side}")
+            res = run_once(tree, target, workload, seed, seconds, trace=1)
+            results[side].append(res)
+            runs.append({"seed": seed, "side": side, "first": side == order[0],
+                         "correct": bool(res and res.get("correct"))})
+    metrics = {m["name"]: {"unit": m["unit"], "better": m["better"],
+                           **{side: [metric_value(r, m["name"]) for r in results[side]] for side in results}}
+               for m in bench["per_layer"]}
+    return {"seeds": seeds, "runs": runs, "metrics": metrics}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", default="HEAD", help="parent revision (default HEAD)")
@@ -138,6 +169,7 @@ def main():
     ap.add_argument("--parent-dir", help="an existing copy of the parent, used instead of a worktree")
     ap.add_argument("--workloads", help="comma-separated workloads (default: every one in BENCHMARK.json)")
     ap.add_argument("--first-seed", type=int, default=1, help="seed of the first pair (default 1)")
+    ap.add_argument("--trace-seeds", help="comma-separated seeds of the traced per-layer runs (default none)")
     a = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
@@ -151,6 +183,10 @@ def main():
             ap.error(f"unknown workloads {unknown}; BENCHMARK.json has {workloads}")
         workloads = [w for w in workloads if w in chosen]
     seeds = [a.first_seed + i for i in range(a.pairs)]
+    try:
+        trace_seeds = [int(x) for x in a.trace_seeds.split(",")] if a.trace_seeds else []
+    except ValueError:
+        ap.error(f"--trace-seeds takes comma-separated integers, not {a.trace_seeds!r}")
 
     parent_tree = os.path.abspath(a.parent_dir) if a.parent_dir else None
     if parent_tree and is_checkout(parent_tree):
@@ -192,8 +228,7 @@ def main():
                                  "failed": res.get("failed") if res else None})
 
             def values(side, name):
-                return [r["metrics"][name]["value"] if r and name in r.get("metrics", {}) else None
-                        for r in results[side]]
+                return [metric_value(r, name) for r in results[side]]
 
             record = {
                 "bench": "perf_pairs",
@@ -210,6 +245,8 @@ def main():
                 "runs": runs,
                 "non_test_lines": lines,
             }
+            if trace_seeds:
+                record["per_layer"] = per_layer_runs(bench, sides, workload, trace_seeds, seconds)
             history = []
             if os.path.exists(out_path):
                 with open(out_path, encoding="utf-8") as f:
