@@ -59,3 +59,29 @@ pub fn wait_exit(child: &mut Child, who: &str) -> ExitStatus {
     let _ = child.kill();
     panic!("{who} did not exit within 10s of the drain");
 }
+
+/// Compares one `mcc bench-serve` stdout transcript with
+/// `tests/golden/bench_serve/<mode>.txt`. `UPDATE_GOLDEN=1` rewrites
+/// the golden instead.
+pub fn check_bench_golden(mode: &str, stdout: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/bench_serve")
+        .join(format!("{mode}.txt"));
+    if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| !v.is_empty() && v != "0") {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, stdout).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read {} ({e}); run UPDATE_GOLDEN=1 to create it",
+            path.display()
+        )
+    });
+    assert_eq!(
+        want,
+        stdout,
+        "{mode}: stdout diverges from {}",
+        path.display()
+    );
+}

@@ -5,7 +5,10 @@
 //! and worker counts, which is exactly what the CI job diffs.
 //!
 //! Single `#[test]` on purpose: each soak run owns a supervised fleet
-//! of child processes.
+//! of child processes. The first run's stdout is also pinned as
+//! `tests/golden/bench_serve/soak.txt`.
+
+mod common;
 
 use std::process::Command;
 
@@ -46,6 +49,7 @@ fn chaos_soak_passes_its_gates_with_seed_determined_stdout() {
 
     let (stdout_a, ok_a) = run_soak("4", "2", json_str);
     assert!(ok_a, "soak run exits 0; stdout:\n{stdout_a}");
+    common::check_bench_golden("soak", &stdout_a);
 
     // The gates, as printed verdicts.
     assert!(

@@ -114,9 +114,10 @@ fn no_orphan_golden_files() {
         .collect();
     for e in entries {
         let name = e.unwrap().file_name().to_string_lossy().into_owned();
-        // The wire-protocol frame fixtures live in their own
-        // subdirectory with their own orphan guard (tests/golden_wire.rs).
-        if name == "wire" {
+        // The wire-protocol frame fixtures and the bench-serve
+        // transcripts live in their own subdirectories with their own
+        // orphan guards (tests/golden_wire.rs, tests/bench_serve_golden.rs).
+        if name == "wire" || name == "bench_serve" {
             continue;
         }
         assert!(

@@ -9,7 +9,10 @@
 //! Single `#[test]` on purpose: the run is ~1s of wall clock and the
 //! second half re-runs the identical schedule under a different client
 //! count to assert the stdout contract (byte-identical across
-//! `--clients` / `--jobs`) that CI also diffs.
+//! `--clients` / `--jobs`) that CI also diffs. The first run's stdout
+//! is also pinned as `tests/golden/bench_serve/kill.txt`.
+
+mod common;
 
 use std::process::Command;
 
@@ -54,6 +57,7 @@ fn kill_mode_is_lossless_conformant_and_deterministic() {
         ),
         "all kill invariants hold on stdout: {stdout1}"
     );
+    common::check_bench_golden("kill", &stdout1);
 
     // The JSON report carries the timing-dependent side; the robustness
     // facts must agree with stdout.
