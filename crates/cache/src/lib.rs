@@ -439,32 +439,6 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
 }
 
-/// 0 = no override, 1 = force `Persist::Memory`, 2 = force
-/// `Persist::Disk`.
-static PERSIST_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Overrides the persist policy every [`compile_cached`] caller passes —
-/// the load-shedding hook: a saturated `mcc serve` forces
-/// [`Persist::Memory`] to take disk fsyncs off the critical path, and
-/// restores `None` when pressure clears.
-pub fn set_persist_override(p: Option<Persist>) {
-    let v = match p {
-        None => 0,
-        Some(Persist::Memory) => 1,
-        Some(Persist::Disk) => 2,
-    };
-    PERSIST_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// The active persist override, if any.
-pub fn persist_override() -> Option<Persist> {
-    match PERSIST_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Some(Persist::Memory),
-        2 => Some(Persist::Disk),
-        _ => None,
-    }
-}
-
 /// The default on-disk tier location: `MCC_CACHE_DIR` or `.mcc-cache`.
 pub fn default_dir() -> PathBuf {
     match std::env::var("MCC_CACHE_DIR") {
@@ -503,7 +477,6 @@ pub fn compile_cached(
     if !enabled() {
         return compiler.compile_contained(lang, src);
     }
-    let persist = persist_override().unwrap_or(persist);
     global().compile(compiler, lang, src, persist)
 }
 

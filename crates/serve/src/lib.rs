@@ -629,9 +629,6 @@ impl Server {
                     counters.bump(&counters.accepted);
                     if tier > 0 {
                         counters.bump(&counters.degraded[usize::from(tier) - 1]);
-                        if tier >= 2 {
-                            mcc_cache::set_persist_override(Some(Persist::Memory));
-                        }
                     }
                     counters.bump(&counters.completed);
                     breaker_result(inner, &req.machine, true);
@@ -680,11 +677,6 @@ impl Server {
         counters.bump(&counters.accepted);
         if tier > 0 {
             counters.bump(&counters.degraded[usize::from(tier) - 1]);
-            if tier >= 2 {
-                // Global persistence override for any other in-process
-                // compile paths; cleared when pressure drops (below).
-                mcc_cache::set_persist_override(Some(Persist::Memory));
-            }
         }
 
         let persist = persist_for_tier(tier);
@@ -902,7 +894,6 @@ fn supervise(inner: Arc<Inner>, mut pool: WorkerPool<CompileResult>) {
                 // Decrement before sending: a client that reacts to its
                 // response must observe the freed queue slot.
                 inner.inflight.fetch_sub(1, Ordering::SeqCst);
-                maybe_clear_pressure(&inner);
                 dispatch_ready(&inner);
                 p.answer(&inner, response);
             }
@@ -946,7 +937,6 @@ fn supervise(inner: Arc<Inner>, mut pool: WorkerPool<CompileResult>) {
                 us_since(p.enqueued),
             );
             inner.inflight.fetch_sub(1, Ordering::SeqCst);
-            maybe_clear_pressure(&inner);
             dispatch_ready(&inner);
             let r = Response::error(&p.id, 504, "deadline expired");
             p.answer(&inner, r);
@@ -1016,15 +1006,6 @@ fn breaker_result(inner: &Inner, machine: &str, success: bool) {
         b.0.on_success(machine);
     } else {
         b.0.on_failure(machine, now);
-    }
-}
-
-/// Clears the global persistence override once the queue has fallen back
-/// below the tier-2 threshold.
-fn maybe_clear_pressure(inner: &Inner) {
-    let depth = inner.inflight.load(Ordering::SeqCst);
-    if tier_for_depth(depth, inner.cfg.queue_bound).is_some_and(|t| t < 2) {
-        mcc_cache::set_persist_override(None);
     }
 }
 
