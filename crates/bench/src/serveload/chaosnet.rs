@@ -44,15 +44,6 @@ fn proxy_seed(master: u64, slot: u64) -> u64 {
     splitmix64(master ^ (0xc11a_05ed ^ slot.wrapping_mul(0x9E37_79B9)))
 }
 
-/// One response's outcome as seen by the front client.
-struct CSample {
-    entry: usize,
-    code: u64,
-    tier: u64,
-    checksum: String,
-    micros: u64,
-}
-
 pub(super) fn run(cfg: &LoadConfig) -> Result<(), String> {
     match cfg.proto {
         None => run_pass(cfg, false, None),
@@ -78,8 +69,8 @@ fn run_pass(cfg: &LoadConfig, v2: bool, tag: Option<&str>) -> Result<(), String>
         1 => return Err("--chaos-net needs --backends >= 2 (or omit for the default 2)".to_string()),
         n => n,
     };
-    let entries = Arc::new(corpus());
-    let total = usize::try_from(cfg.rps * cfg.duration_ms / 1000).unwrap_or(usize::MAX).max(1);
+    let entries = corpus();
+    let total = requests(cfg);
     let plan = FaultPlan::default();
 
     // Full-coverage pre-check, analytically (a pure function of the
@@ -181,19 +172,7 @@ fn run_pass(cfg: &LoadConfig, v2: bool, tag: Option<&str>) -> Result<(), String>
         queue_bound: cfg.queue_bound.max(entries.len()),
         ..ServeConfig::default()
     });
-    let mut canonical = Vec::with_capacity(entries.len());
-    for (i, e) in entries.iter().enumerate() {
-        let r = local.handle_line(&proto_line(e, total + i, "canon"), "canon");
-        if r.code != 200 {
-            return Err(format!(
-                "chaos-net canon compile failed for {}/{}: {}",
-                e.kernel,
-                e.machine,
-                r.to_line().trim_end()
-            ));
-        }
-        canonical.push(Response::field_str(&r.to_line(), "checksum").unwrap_or_default());
-    }
+    let canonical = warm(&entries, total, |line| Ok(local.handle_line(line, "canon").to_line()))?;
     local.drain();
 
     // ---- the burst: one sequential client, enveloped requests ----
@@ -205,7 +184,7 @@ fn run_pass(cfg: &LoadConfig, v2: bool, tag: Option<&str>) -> Result<(), String>
         .with_wire(Some(Duration::from_millis(900)), 6)
         .with_proto2(v2);
     let start = Instant::now();
-    let mut samples: Vec<CSample> = Vec::with_capacity(total);
+    let mut samples = Vec::with_capacity(total);
     let mut first_errors: Vec<String> = Vec::new();
     for k in 0..total {
         let entry = pick(cfg.seed, k, entries.len());
@@ -213,13 +192,10 @@ fn run_pass(cfg: &LoadConfig, v2: bool, tag: Option<&str>) -> Result<(), String>
         let frame = proto::wrap_envelope("bench", k as u64, bare.trim_end());
         let sent = Instant::now();
         match front.call(&frame, "bench") {
-            Ok(resp) => samples.push(CSample {
-                entry,
-                code: Response::field_num(&resp, "code").unwrap_or(0),
-                tier: Response::field_num(&resp, "tier").unwrap_or(0),
-                checksum: Response::field_str(&resp, "checksum").unwrap_or_default(),
-                micros: sent.elapsed().as_micros() as u64,
-            }),
+            Ok(resp) => {
+                let micros = sent.elapsed().as_micros() as u64;
+                samples.push(Sample::of(k, entry, &resp, micros));
+            }
             Err(e) => {
                 if first_errors.len() < 5 {
                     first_errors.push(format!("k={k}: {e}"));
@@ -247,24 +223,12 @@ fn run_pass(cfg: &LoadConfig, v2: bool, tag: Option<&str>) -> Result<(), String>
     // ---- verdict ----
     let responses = samples.len();
     let dropped = total - responses;
-    let ok200 = samples.iter().filter(|s| s.code == 200).count();
-    let mut corrupt_accepted = 0u64;
-    let mut tiered: std::collections::HashMap<(usize, u64), &str> =
-        std::collections::HashMap::new();
-    for s in samples.iter().filter(|s| s.code == 200) {
-        let expect = if s.tier == 0 {
-            canonical[s.entry].as_str()
-        } else {
-            tiered.entry((s.entry, s.tier)).or_insert(s.checksum.as_str())
-        };
-        if s.checksum != expect {
-            corrupt_accepted += 1;
-        }
-    }
+    let ok200 = count(&samples, 200);
+    let corrupt_accepted = mismatches(&samples, &canonical);
     let conforms = corrupt_accepted == 0;
     // Exactly-once: every 200 is one cold compile somewhere; a miss
     // beyond that count is the same request executed twice.
-    let double_executions = misses.saturating_sub(ok200 as u64);
+    let double_executions = misses.saturating_sub(ok200);
     let mut kinds: std::collections::BTreeSet<&'static str> = std::collections::BTreeSet::new();
     let mut injected_total = 0u64;
     let mut injected_detail: Vec<String> = Vec::new();
@@ -285,14 +249,11 @@ fn run_pass(cfg: &LoadConfig, v2: bool, tag: Option<&str>) -> Result<(), String>
         "chaos-net verdict: responses={responses} dropped={dropped} \
          corrupt_accepted={corrupt_accepted} double_executions={double_executions} \
          conformance={} fault_kinds={covered}/{KIND_COUNT}{proto_sfx}",
-        if conforms { "ok" } else { "VIOLATED" }
+        verdict(conforms)
     );
 
     // ---- timing-dependent numbers (stderr + JSON) ----
-    let mut lat: Vec<u64> = samples.iter().map(|s| s.micros).collect();
-    lat.sort_unstable();
-    let pct = |p: usize| lat.get(lat.len().saturating_sub(1) * p / 100).copied().unwrap_or(0);
-    let (p50, p95, p99) = (pct(50), pct(95), pct(99));
+    let [p50, p95, p99] = percentiles(&samples, [50, 95, 99]);
     let rc = router.counters();
     let (failovers, router_corrupt) = (
         rc.failovers.load(Ordering::Relaxed),
@@ -309,12 +270,13 @@ fn run_pass(cfg: &LoadConfig, v2: bool, tag: Option<&str>) -> Result<(), String>
         eprintln!("chaos-net dropped: {e}");
     }
 
-    if !cfg.json_path.is_empty() {
-        // On a `--proto both` run the v2 pass's report is the one that
-        // survives; the self-describing `proto` field says which it is.
-        let proto_json = tag.map(|t| format!("\"proto\":\"{t}\",")).unwrap_or_default();
-        let json = format!(
-            "{{\"bench\":\"serve\",\"mode\":\"chaos-net\",{proto_json}\"seed\":{},\"rps\":{},\
+    // On a `--proto both` run the v2 pass's report is the one that
+    // survives; the self-describing `proto` field says which it is.
+    let proto_json = tag.map(|t| format!("\"proto\":\"{t}\",")).unwrap_or_default();
+    write_report(
+        &cfg.json_path,
+        &format!(
+            "\"bench\":\"serve\",\"mode\":\"chaos-net\",{proto_json}\"seed\":{},\"rps\":{},\
              \"duration_ms\":{},\"backends\":{n},\"requests\":{total},\"responses\":{responses},\
              \"dropped\":{dropped},\"ok\":{ok200},\"replayed\":{replayed},\
              \"shard_misses\":{misses},\"double_executions\":{double_executions},\
@@ -322,16 +284,14 @@ fn run_pass(cfg: &LoadConfig, v2: bool, tag: Option<&str>) -> Result<(), String>
              \"router_corrupt\":{router_corrupt},\"failovers\":{failovers},\
              \"injected\":{injected_total},\"fault_kinds\":{covered},\
              \"p50_us\":{p50},\"p95_us\":{p95},\"p99_us\":{p99},\"elapsed_ms\":{elapsed_ms},\
-             \"conformance\":\"{}\"}}\n",
+             \"conformance\":\"{}\"",
             cfg.seed,
             cfg.rps,
             cfg.duration_ms,
-            if conforms { "ok" } else { "violated" }
-        );
-        std::fs::File::create(&cfg.json_path)
-            .and_then(|mut f| f.write_all(json.as_bytes()))
-            .map_err(|e| format!("writing {}: {e}", cfg.json_path))?;
-    }
+            verdict(conforms)
+        ),
+        None,
+    )?;
 
     // ---- teardown (before the gates, so failures don't leak children) ----
     front_proxy.stop();
@@ -347,8 +307,8 @@ fn run_pass(cfg: &LoadConfig, v2: bool, tag: Option<&str>) -> Result<(), String>
     if dropped != 0 {
         return Err(format!("chaos-net: {dropped} requests got no response"));
     }
-    if ok200 != total {
-        return Err(format!("chaos-net: {} responses were not 200", total - ok200));
+    if ok200 != total as u64 {
+        return Err(format!("chaos-net: {} responses were not 200", total as u64 - ok200));
     }
     if !conforms {
         return Err(format!(

@@ -144,16 +144,10 @@ fn wfq_share_phase(cfg: &LoadConfig, entries: &Arc<Vec<Entry>>) -> (u64, u64) {
     (measured, free_errors.load(Ordering::Relaxed))
 }
 
-/// One well-behaved sample in the diurnal phase.
-struct WbSample {
-    tenant: usize,
-    code: u16,
-    micros: u64,
-}
-
 /// Phase 2 outcome.
 struct DiurnalOutcome {
-    wb: Vec<WbSample>,
+    /// Each well-behaved tenant's samples, by tenant.
+    wb: Vec<Vec<Sample>>,
     abuser_ok: u64,
     abuser_shed: u64,
     quota_shed: u64,
@@ -225,24 +219,18 @@ fn diurnal_phase(cfg: &LoadConfig, entries: &Arc<Vec<Entry>>) -> Result<DiurnalO
                     std::thread::sleep(wait);
                 }
                 let k = (t + 1) * 1_000_000 + j;
-                let e = &entries[pick(seed, k, entries.len())];
-                let line = qos_line(e, k, &tenant, "interactive");
+                let entry = pick(seed, k, entries.len());
+                let line = qos_line(&entries[entry], k, &tenant, "interactive");
                 let sent = Instant::now();
-                let r = server.handle_line(&line, &tenant);
-                samples.push(WbSample {
-                    tenant: t,
-                    code: r.code,
-                    micros: sent.elapsed().as_micros() as u64,
-                });
+                let r = server.handle_line(&line, &tenant).to_line();
+                samples.push(Sample::of(k, entry, &r, sent.elapsed().as_micros() as u64));
             }
             samples
         }));
     }
 
-    let mut wb = Vec::with_capacity(WB_TENANTS * WB_DEMAND);
-    for h in wbs {
-        wb.extend(h.join().expect("well-behaved thread"));
-    }
+    let wb: Vec<Vec<Sample>> =
+        wbs.into_iter().map(|h| h.join().expect("well-behaved thread")).collect();
     stop.store(true, Ordering::Relaxed);
     for h in abusers {
         h.join().expect("abuser thread");
@@ -283,7 +271,7 @@ fn diurnal_phase(cfg: &LoadConfig, entries: &Arc<Vec<Entry>>) -> Result<DiurnalO
         !clean_torn && torn && after.len() as u64 == trace_records && trace_records > 0;
     let _ = std::fs::remove_file(&trace_path);
 
-    let expected = wb.len() as u64
+    let expected = wb.iter().map(Vec::len).sum::<usize>() as u64
         + abuser_ok.load(Ordering::Relaxed)
         + abuser_shed.load(Ordering::Relaxed);
     Ok(DiurnalOutcome {
@@ -329,28 +317,22 @@ pub(super) fn run(cfg: &LoadConfig) -> Result<(), String> {
     let out = diurnal_phase(cfg, &entries)?;
     let elapsed_ms = start.elapsed().as_millis() as u64;
 
-    let wb_all_ok = out.wb.iter().all(|s| s.code == 200);
-    let dropped = (WB_TENANTS * WB_DEMAND).saturating_sub(out.wb.len());
-    let mut p99s = Vec::new();
-    for t in 0..WB_TENANTS {
-        let mut lat: Vec<u64> =
-            out.wb.iter().filter(|s| s.tenant == t).map(|s| s.micros).collect();
-        lat.sort_unstable();
-        p99s.push(lat.get(lat.len().saturating_sub(1) * 99 / 100).copied().unwrap_or(0));
-    }
+    let wb_all_ok = out.wb.iter().flatten().all(|s| s.code == 200);
+    let wb_requests: usize = out.wb.iter().map(Vec::len).sum();
+    let dropped = (WB_TENANTS * WB_DEMAND).saturating_sub(wb_requests);
+    let p99s: Vec<u64> = out.wb.iter().map(|t| percentiles(t, [99])[0]).collect();
     let p99_ok = p99s.iter().all(|&p| p < P99_BOUND_US);
     let throttled = out.abuser_shed > 0 && out.quota_shed > 0;
     let trace_ok = out.trace_torn_detected && out.trace_records == out.trace_expected;
 
     // ---- verdicts (stdout, deterministic in a passing run) ----
-    let v = |ok: bool| if ok { "ok" } else { "VIOLATED" };
     println!(
         "verdicts wfq_share={} throttled={} p99_bound={} dropped={dropped} metrics={} trace={}",
-        v(share_ok),
-        v(throttled),
-        v(p99_ok),
-        v(out.metrics_ok),
-        v(trace_ok)
+        verdict(share_ok),
+        verdict(throttled),
+        verdict(p99_ok),
+        verdict(out.metrics_ok),
+        verdict(trace_ok)
     );
 
     // ---- measured numbers (stderr + JSON) ----
@@ -370,33 +352,30 @@ pub(super) fn run(cfg: &LoadConfig) -> Result<(), String> {
             format!(" metrics_err={}", out.metrics_err)
         }
     );
-    if !cfg.json_path.is_empty() {
-        let json = format!(
-            "{{\"bench\":\"serve-diurnal\",\"seed\":{},\"free_demand\":{FREE_DEMAND},\
+    write_report(
+        &cfg.json_path,
+        &format!(
+            "\"bench\":\"serve-diurnal\",\"seed\":{},\"free_demand\":{FREE_DEMAND},\
              \"analytic_share\":{analytic},\"measured_share\":{measured},\"tolerance\":{tolerance},\
-             \"free_errors\":{free_errors},\"wb_requests\":{},\"dropped\":{dropped},\
+             \"free_errors\":{free_errors},\"wb_requests\":{wb_requests},\"dropped\":{dropped},\
              \"wb_p99_us_max\":{},\"p99_bound_us\":{P99_BOUND_US},\"abuser_ok\":{},\
              \"abuser_shed\":{},\"quota_shed\":{},\"trace_records\":{},\"elapsed_ms\":{elapsed_ms},\
              \"wfq_share\":\"{}\",\"throttled\":\"{}\",\"p99_bound\":\"{}\",\"metrics\":\"{}\",\
-             \"trace\":\"{}\"}}\n",
+             \"trace\":\"{}\"",
             cfg.seed,
-            out.wb.len(),
             p99s.iter().copied().max().unwrap_or(0),
             out.abuser_ok,
             out.abuser_shed,
             out.quota_shed,
             out.trace_records,
-            v(share_ok),
-            v(throttled),
-            v(p99_ok),
-            v(out.metrics_ok),
-            v(trace_ok)
-        );
-        debug_assert!(mcc_harness::json::parse_object(json.trim_end()).is_some());
-        std::fs::File::create(&cfg.json_path)
-            .and_then(|mut f| f.write_all(json.as_bytes()))
-            .map_err(|e| format!("writing {}: {e}", cfg.json_path))?;
-    }
+            verdict(share_ok),
+            verdict(throttled),
+            verdict(p99_ok),
+            verdict(out.metrics_ok),
+            verdict(trace_ok)
+        ),
+        None,
+    )?;
 
     if !share_ok {
         return Err(format!(

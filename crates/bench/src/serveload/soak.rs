@@ -31,106 +31,6 @@ use mcc_route::RouteConfig;
 /// banner and the restart budget drains to quarantine.
 const SABOTAGE: &str = "bx";
 
-/// One request's outcome through the fleet's router child.
-struct SSample {
-    entry: usize,
-    code: u64,
-    tier: u64,
-    checksum: String,
-    backend: String,
-    micros: u64,
-}
-
-/// Conformance over one burst: tier-0 checksums match the warm canon,
-/// and every `(entry, tier)` pair agrees with itself.
-fn conformance(samples: &[SSample], canonical: &[String]) -> bool {
-    let mut ok = true;
-    let mut tiered: std::collections::HashMap<(usize, u64), &str> =
-        std::collections::HashMap::new();
-    for s in samples.iter().filter(|s| s.code == 200) {
-        let expect = if s.tier == 0 {
-            canonical[s.entry].as_str()
-        } else {
-            tiered.entry((s.entry, s.tier)).or_insert(s.checksum.as_str())
-        };
-        if s.checksum != expect {
-            ok = false;
-        }
-    }
-    ok
-}
-
-/// p50/p95/p99 of a burst.
-fn percentiles(samples: &[SSample]) -> (u64, u64, u64) {
-    let mut lat: Vec<u64> = samples.iter().map(|s| s.micros).collect();
-    lat.sort_unstable();
-    let pct = |p: usize| lat.get(lat.len().saturating_sub(1) * p / 100).copied().unwrap_or(0);
-    (pct(50), pct(95), pct(99))
-}
-
-/// One paced burst fired at the fleet's router over TCP. `kill` is
-/// `(request index, victim name)`: the client thread that draws that
-/// index SIGKILLs the victim's child first — the supervisor reaps and
-/// heals it while the burst is still running.
-fn soak_burst(
-    addr: &str,
-    fleet: &Fleet,
-    entries: &[Entry],
-    cfg: &LoadConfig,
-    total: usize,
-    nonce_base: usize,
-    kill: Option<(usize, &str)>,
-) -> Vec<SSample> {
-    let next = AtomicUsize::new(0);
-    let start = Instant::now();
-    let mut all = Vec::with_capacity(total);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for c in 0..cfg.clients.max(1) {
-            let next = &next;
-            let (seed, rps) = (cfg.seed, cfg.rps);
-            handles.push(scope.spawn(move || {
-                let mut samples = Vec::new();
-                loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= total {
-                        break;
-                    }
-                    let due = Duration::from_micros(k as u64 * 1_000_000 / rps.max(1));
-                    if let Some(wait) = due.checked_sub(start.elapsed()) {
-                        std::thread::sleep(wait);
-                    }
-                    if let Some((at, victim)) = kill {
-                        if k == at {
-                            fleet.kill_shard(victim);
-                        }
-                    }
-                    let entry = pick(seed, k, entries.len());
-                    let line = proto_line(&entries[entry], nonce_base + k, &format!("soak{c}"));
-                    let sent = Instant::now();
-                    // A failed call leaves no sample: that request counts
-                    // as dropped and fails the gate.
-                    if let Ok(resp) = line_call(addr, &line, Duration::from_secs(15)) {
-                        samples.push(SSample {
-                            entry,
-                            code: Response::field_num(&resp, "code").unwrap_or(0),
-                            tier: Response::field_num(&resp, "tier").unwrap_or(0),
-                            checksum: Response::field_str(&resp, "checksum").unwrap_or_default(),
-                            backend: Response::field_str(&resp, "backend").unwrap_or_default(),
-                            micros: sent.elapsed().as_micros() as u64,
-                        });
-                    }
-                }
-                samples
-            }));
-        }
-        for h in handles {
-            all.extend(h.join().expect("soak client thread"));
-        }
-    });
-    all
-}
-
 /// After a healthy victim rejoins: compile a handful of keys the ring
 /// places on it (analytically, over the currently joined members) and
 /// count `200`s tagged with its name. Retries a few rounds — the join
@@ -166,9 +66,8 @@ fn rejoin_served(
                 sent += 1;
                 let line = proto_line(e, probe_base + j, "rejoin");
                 if let Ok(resp) = line_call(addr, &line, Duration::from_secs(15)) {
-                    if Response::field_num(&resp, "code") == Some(200)
-                        && Response::field_str(&resp, "backend").as_deref() == Some(victim)
-                    {
+                    let s = Sample::of(j, entry, &resp, 0);
+                    if s.code == 200 && s.backend == victim {
                         served += 1;
                     }
                 }
@@ -194,7 +93,7 @@ pub(super) fn run(cfg: &LoadConfig) -> Result<(), String> {
         );
     }
     let entries = corpus();
-    let total = usize::try_from(cfg.rps * cfg.duration_ms / 1000).unwrap_or(usize::MAX).max(8);
+    let total = requests(cfg).max(8);
     let n = cfg.backends;
     let bursts = cfg.bursts;
     let healthy: Vec<String> = (0..n).map(|i| format!("b{i}")).collect();
@@ -259,11 +158,11 @@ pub(super) fn run(cfg: &LoadConfig) -> Result<(), String> {
             "not-a-port".to_string(),
         ]),
     });
+    // An early return drops the fleet, which reaps every child.
     let mut fleet = Fleet::start(fcfg, specs)?;
     if !fleet.wait_until(Duration::from_secs(30), |shards| {
         shards.iter().all(|s| s.state == ShardState::Up && s.joined)
     }) {
-        fleet.shutdown();
         return Err("fleet never became fully up and joined".to_string());
     }
     let addr = fleet.router_addr();
@@ -276,22 +175,9 @@ pub(super) fn run(cfg: &LoadConfig) -> Result<(), String> {
     let probe_base = |b: usize| warm_base + entries.len() + b * probe_stride;
 
     // Warm-up over the wire pins the canonical tier-0 checksums.
-    let mut canonical = Vec::with_capacity(entries.len());
-    for (i, e) in entries.iter().enumerate() {
-        let line = proto_line(e, warm_base + i, "warm");
-        let resp = line_call(&addr, &line, Duration::from_secs(30))
-            .map_err(|e| format!("warm-up: {e}"))?;
-        if Response::field_num(&resp, "code") != Some(200) {
-            fleet.shutdown();
-            return Err(format!(
-                "warm-up compile failed for {}/{}: {}",
-                e.kernel,
-                e.machine,
-                resp.trim_end()
-            ));
-        }
-        canonical.push(Response::field_str(&resp, "checksum").unwrap_or_default());
-    }
+    let canonical = warm(&entries, warm_base, |line| {
+        line_call(&addr, line, Duration::from_secs(30)).map_err(|e| format!("warm-up: {e}"))
+    })?;
 
     // ---- the bursts ----
     let mut burst_rows: Vec<String> = Vec::new();
@@ -303,21 +189,37 @@ pub(super) fn run(cfg: &LoadConfig) -> Result<(), String> {
             .iter()
             .find(|(kb, _, _)| *kb == b)
             .map(|(_, v, at)| (*at, v.as_str()));
+        // The client thread that draws the kill index SIGKILLs the
+        // victim's child first; the supervisor reaps and heals it while
+        // the burst is still running.
+        let victim = kill.map_or("", |(_, v)| v);
+        let strike = || {
+            fleet.kill_shard(victim);
+        };
         let start = Instant::now();
-        let samples = soak_burst(&addr, &fleet, &entries, cfg, total, b * stride, kill);
+        // A failed call leaves no sample: that request counts as
+        // dropped and fails the gate.
+        let samples = burst(
+            cfg,
+            &entries,
+            total,
+            b * stride,
+            "soak",
+            kill.map(|(at, _)| (at, &strike as &(dyn Fn() + Sync))),
+            |_, line| line_call(&addr, line, Duration::from_secs(15)).ok(),
+        );
         let elapsed_ms = start.elapsed().as_millis() as u64;
 
         let dropped = total - samples.len();
-        let conforms = conformance(&samples, &canonical);
+        let conforms = mismatches(&samples, &canonical) == 0;
         if dropped != 0 || !conforms {
             all_ok = false;
         }
-        let (p50, p95, p99) = percentiles(&samples);
+        let [p50, p95, p99] = percentiles(&samples, [50, 95, 99]);
         if b == 0 {
             baseline_p99 = p99.max(1);
         }
-        let ok200 = samples.iter().filter(|s| s.code == 200).count() as u64;
-        let shed = samples.iter().filter(|s| s.code == 503).count() as u64;
+        let (ok200, shed) = (count(&samples, 200), count(&samples, 503));
 
         let mut served_after = 0u64;
         let mut verdict_tail = String::new();
@@ -340,8 +242,8 @@ pub(super) fn run(cfg: &LoadConfig) -> Result<(), String> {
                 }
                 verdict_tail = format!(
                     " victim={victim} rejoined={} rejoin_served={}",
-                    if back { "ok" } else { "VIOLATED" },
-                    if served_after > 0 { "ok" } else { "VIOLATED" }
+                    verdict(back),
+                    verdict(served_after > 0)
                 );
             }
             Some((_, victim)) => {
@@ -355,18 +257,12 @@ pub(super) fn run(cfg: &LoadConfig) -> Result<(), String> {
                 if !quarantined {
                     all_ok = false;
                 }
-                verdict_tail = format!(
-                    " victim={victim} quarantined={}",
-                    if quarantined { "ok" } else { "VIOLATED" }
-                );
+                verdict_tail = format!(" victim={victim} quarantined={}", verdict(quarantined));
             }
             None => {}
         }
 
-        println!(
-            "burst={b} dropped={dropped} conformance={}{verdict_tail}",
-            if conforms { "ok" } else { "VIOLATED" }
-        );
+        println!("burst={b} dropped={dropped} conformance={}{verdict_tail}", verdict(conforms));
         let inflation_pct = p99 * 100 / baseline_p99;
         // Served-by-backend tally: timing-dependent (failover and the
         // in-burst rejoin shift it), so stderr only.
@@ -410,38 +306,30 @@ pub(super) fn run(cfg: &LoadConfig) -> Result<(), String> {
     println!(
         "chaos-soak verdict: dropped={} conformance={} rejoins={} quarantined=[{}] \
          healthy_quarantined={} restart_budget={}",
-        if all_ok { "ok" } else { "VIOLATED" },
-        if all_ok { "ok" } else { "VIOLATED" },
-        if rejoins_ok { "ok" } else { "VIOLATED" },
+        verdict(all_ok),
+        verdict(all_ok),
+        verdict(rejoins_ok),
         quarantined.join(" "),
         if healthy_quarantined.is_empty() { "none" } else { "VIOLATED" },
-        if budget_held { "ok" } else { "VIOLATED" }
+        verdict(budget_held)
     );
 
-    if !cfg.json_path.is_empty() {
-        let json = format!(
-            "{{\"bench\":\"serve\",\"mode\":\"chaos-soak\",\"seed\":{},\"rps\":{},\
+    let quarantined_json: Vec<String> = quarantined.iter().map(|q| format!("\"{q}\"")).collect();
+    write_report(
+        &cfg.json_path,
+        &format!(
+            "\"bench\":\"serve\",\"mode\":\"chaos-soak\",\"seed\":{},\"rps\":{},\
              \"duration_ms\":{},\"clients\":{},\"backends\":{n},\"bursts\":{bursts},\
              \"restart_budget\":{budget},\"sabotage\":\"{SABOTAGE}\",\
-             \"sabotage_restarts\":{sab_restarts},\"quarantined\":[{}],\
-             \"bursts_detail\":[{}]}}\n",
+             \"sabotage_restarts\":{sab_restarts},\"quarantined\":[{}]",
             cfg.seed,
             cfg.rps,
             cfg.duration_ms,
             cfg.clients,
-            quarantined
-                .iter()
-                .map(|q| format!("\"{q}\""))
-                .collect::<Vec<_>>()
-                .join(","),
-            burst_rows.join(",")
-        );
-        // Nested rows put this report beyond the toolkit's flat-object
-        // JSON reader, same as the scaling report.
-        std::fs::File::create(&cfg.json_path)
-            .and_then(|mut f| f.write_all(json.as_bytes()))
-            .map_err(|e| format!("writing {}: {e}", cfg.json_path))?;
-    }
+            quarantined_json.join(",")
+        ),
+        Some(("bursts_detail", &burst_rows)),
+    )?;
 
     fleet.shutdown();
     let _ = std::fs::remove_dir_all(&cache_root);

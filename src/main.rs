@@ -180,13 +180,10 @@ bench-serve options:
                                double executions, and zero corrupt frames
                                accepted; the fault schedule prints on stdout
                                as a pure function of --seed
-      --proto <v1|v2|both>     wire protocol A/B: fire the same seeded burst
-                               at one real TCP server over newline lines (v1)
-                               and/or binary length-prefixed pipelined frames
-                               with compression (v2); `both` emits the two
-                               series into one JSON report. Combined with
-                               --chaos-net it picks the wire the fault battery
-                               runs on (`both` = two full passes)
+      --proto <v1|v2|both>     the wire --chaos-net runs its fault battery on:
+                               newline lines (v1), binary length-prefixed
+                               frames (v2), or both as two full passes;
+                               needs --chaos-net
       --diurnal                per-tenant QoS mode: a saturated WFQ share
                                check (four weighted tenants vs one abuser),
                                then a seeded day curve of interactive
@@ -195,12 +192,6 @@ bench-serve options:
                                well-behaved p99, zero drops, the metrics
                                exposition shape, and trace replay after a
                                torn tail
-      --net-delay-us <n>       A/B emulated WAN: relay every client byte burst
-                               through an in-process proxy adding n µs each
-                               way (netem-style constant delay; default 0 =
-                               raw loopback). Applies identically to both
-                               series — it models the link RTT that lockstep
-                               v1 pays per request and pipelined v2 amortizes
 
   stdout carries only seed-determined invariants (byte-identical across
   --clients and --jobs); latency/shed numbers go to stderr and the JSON.
@@ -261,7 +252,6 @@ struct Args {
     chaos_soak: bool,
     chaos_net: bool,
     proto: Option<String>,
-    net_delay_us: Option<u64>,
     bursts: Option<usize>,
     listen: Option<String>,
     upstream: Option<String>,
@@ -345,7 +335,6 @@ fn parse_args() -> Option<Args> {
         chaos_soak: false,
         chaos_net: false,
         proto: None,
-        net_delay_us: None,
         bursts: None,
         listen: None,
         upstream: None,
@@ -397,7 +386,6 @@ fn parse_args() -> Option<Args> {
             "--chaos-soak" => a.chaos_soak = true,
             "--chaos-net" => a.chaos_net = true,
             "--proto" => a.proto = Some(it.next()?),
-            "--net-delay-us" => a.net_delay_us = Some(numeric("--net-delay-us", it.next())?),
             "--listen" => a.listen = Some(it.next()?),
             "--upstream" => a.upstream = Some(it.next()?),
             "--plan" => a.plan = Some(it.next()?),
@@ -918,6 +906,9 @@ fn fleet_command(args: &Args) -> Result<(), String> {
 /// `mcc bench-serve`: the seeded closed-loop load generator (stdout is
 /// deterministic; timing goes to stderr and the JSON report).
 fn bench_serve_command(args: &Args) -> Result<(), String> {
+    if let Some(stray) = args.positional.first() {
+        return Err(format!("bench-serve: unexpected argument `{stray}`"));
+    }
     // A malformed --proto is a flag error (exit 2), like a malformed number.
     let proto = args.proto.as_deref().map(|s| {
         mcc::bench::serveload::ProtoChoice::parse(s).unwrap_or_else(|| {
@@ -939,7 +930,6 @@ fn bench_serve_command(args: &Args) -> Result<(), String> {
         chaos_net: args.chaos_net,
         bursts: args.bursts.unwrap_or(4),
         proto,
-        net_delay_us: args.net_delay_us.unwrap_or(0),
         diurnal: args.diurnal,
     };
     mcc::bench::serveload::run(&cfg)
