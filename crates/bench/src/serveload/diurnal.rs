@@ -80,7 +80,6 @@ fn wfq_share_phase(cfg: &LoadConfig, entries: &Arc<Vec<Entry>>) -> (u64, u64) {
     let server = Arc::new(Server::start(ServeConfig {
         workers: 1,
         queue_bound: 4096,
-        default_weight: 1,
         tenant_weights: (0..FREE_TENANTS).map(|t| (format!("free{t}"), 2)).collect(),
         ..ServeConfig::default()
     }));

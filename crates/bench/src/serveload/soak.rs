@@ -143,7 +143,6 @@ pub(super) fn run(cfg: &LoadConfig) -> Result<(), String> {
             cap: Duration::from_millis(250),
         },
     };
-    fcfg.heartbeat_interval = Duration::from_millis(100);
     fcfg.stable_after = Duration::from_millis(500);
     fcfg.log = true;
     let budget = fcfg.restart.budget;

@@ -274,11 +274,6 @@ impl Cache {
         Ok(loaded)
     }
 
-    /// Whether a disk tier is attached.
-    pub fn disk_attached(&self) -> bool {
-        self.disk.lock().unwrap().is_some()
-    }
-
     /// Compiles `src` through `compiler`, serving from the cache when the
     /// content address matches. Hits are marked in
     /// `artifact.stats.cached` (`"memory"` or `"disk"`); everything that

@@ -70,12 +70,6 @@ impl<'a> ExclusiveLock<'a> {
             }
         }
     }
-
-    /// Whether the lock was actually taken (false on failure or on
-    /// platforms without `flock`).
-    pub fn is_locked(&self) -> bool {
-        self.locked
-    }
 }
 
 impl Drop for ExclusiveLock<'_> {
@@ -101,7 +95,7 @@ mod tests {
         let f = File::create(&path).unwrap();
         {
             let g = ExclusiveLock::acquire(&f);
-            assert!(cfg!(not(unix)) || g.is_locked());
+            assert!(cfg!(not(unix)) || g.locked);
             let mut w = &f;
             w.write_all(b"under lock\n").unwrap();
         }

@@ -1,8 +1,8 @@
 //! Canonical artifact serialisation — hand-rolled, single-line, and
 //! deterministic.
 //!
-//! The vendored `serde` is a deliberate no-op stub, so the disk format
-//! is written by hand, the same choice the harness journal made. Three
+//! The workspace has no serialization dependency, so the disk format is
+//! written by hand, the same choice the harness journal made. Three
 //! properties matter:
 //!
 //! * **determinism** — map-backed fields (`locations`, `symbols`,

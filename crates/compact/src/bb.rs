@@ -97,7 +97,7 @@ pub fn branch_and_bound_budgeted(
     budget: u64,
 ) -> (Compaction, BbStatus) {
     // Start from the critical-path heuristic as the incumbent.
-    let seed = crate::compact(m, ops, crate::Algorithm::CriticalPath, model);
+    let seed = crate::list_schedule(m, ops, g, model);
     let mut search = Search {
         m,
         ops,
@@ -126,19 +126,9 @@ pub fn branch_and_bound_budgeted(
     (c, status)
 }
 
-/// Finds a minimum-length schedule (within the default node budget).
-pub fn branch_and_bound(
-    m: &MachineDesc,
-    ops: &[SelectedOp],
-    g: &DepGraph,
-    model: ConflictModel,
-) -> Compaction {
-    branch_and_bound_budgeted(m, ops, g, model, crate::BB_DEFAULT_BUDGET).0
-}
-
 #[cfg(test)]
 mod tests {
-    use crate::{compact, Algorithm};
+    use crate::{compact_degrading, Algorithm, BB_DEFAULT_BUDGET};
     use mcc_machine::machines::hm1;
     use mcc_machine::{ConflictModel, RegRef};
     use mcc_mir::op::MirOp;
@@ -159,8 +149,14 @@ mod tests {
             MirOp::alu(AluOp::And, r(5), r(3), r(4)),
         ];
         let ops: Vec<_> = mir.iter().map(|o| select_op(&m, o).unwrap()).collect();
-        let c = compact(&m, &ops, Algorithm::BranchBound, ConflictModel::Fine);
-        assert_eq!(c.len(), 3, "add | or+mov | and");
+        let c = compact_degrading(
+            &m,
+            &ops,
+            Algorithm::BranchBound,
+            ConflictModel::Fine,
+            BB_DEFAULT_BUDGET,
+        );
+        assert_eq!(c.compaction.len(), 3, "add | or+mov | and");
     }
 
     #[test]
@@ -173,9 +169,21 @@ mod tests {
             MirOp::mov(r(3), r(2)),
         ];
         let ops: Vec<_> = mir.iter().map(|o| select_op(&m, o).unwrap()).collect();
-        let bb = compact(&m, &ops, Algorithm::BranchBound, ConflictModel::Coarse);
-        let cp = compact(&m, &ops, Algorithm::CriticalPath, ConflictModel::Coarse);
-        assert_eq!(bb.len(), cp.len());
-        assert_eq!(bb.len(), 3);
+        let bb = compact_degrading(
+            &m,
+            &ops,
+            Algorithm::BranchBound,
+            ConflictModel::Coarse,
+            BB_DEFAULT_BUDGET,
+        );
+        let cp = compact_degrading(
+            &m,
+            &ops,
+            Algorithm::CriticalPath,
+            ConflictModel::Coarse,
+            BB_DEFAULT_BUDGET,
+        );
+        assert_eq!(bb.compaction.len(), cp.compaction.len());
+        assert_eq!(bb.compaction.len(), 3);
     }
 }

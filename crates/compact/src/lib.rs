@@ -63,7 +63,8 @@ impl Algorithm {
         Algorithm::BranchBound,
     ];
 
-    /// Short display name (used in experiment tables).
+    /// Short display name (used in experiment tables, on the command line
+    /// and on the wire).
     pub fn name(self) -> &'static str {
         match self {
             Algorithm::Linear => "linear",
@@ -72,6 +73,26 @@ impl Algorithm {
             Algorithm::Tokoro => "tokoro",
             Algorithm::BranchBound => "optimal",
             Algorithm::Sequential => "sequential",
+        }
+    }
+
+    /// The algorithm whose [`name`](Self::name) is `name`.
+    pub fn from_name(name: &str) -> Option<Algorithm> {
+        Self::ALL
+            .into_iter()
+            .chain([Algorithm::Sequential])
+            .find(|a| a.name() == name)
+    }
+
+    /// The conflict model this algorithm schedules under: `requested`,
+    /// except that [`Algorithm::Tokoro`] always judges conflicts per phase
+    /// (that *is* the algorithm's contribution). Code scheduled under a
+    /// model must be validated, and its terminators packed, under it too.
+    pub fn model(self, requested: ConflictModel) -> ConflictModel {
+        if self == Algorithm::Tokoro {
+            ConflictModel::Fine
+        } else {
+            requested
         }
     }
 }
@@ -181,7 +202,7 @@ fn linear(m: &MachineDesc, ops: &[SelectedOp], g: &DepGraph, model: ConflictMode
     finish(m, instrs, placed, g, model)
 }
 
-fn list_schedule(
+pub(crate) fn list_schedule(
     m: &MachineDesc,
     ops: &[SelectedOp],
     g: &DepGraph,
@@ -280,39 +301,6 @@ pub(crate) fn finish(
     Compaction { instrs: out, mi_of }
 }
 
-/// Compacts one basic block of selected operations.
-///
-/// The `model` chooses the conflict oracle; [`Algorithm::Tokoro`] always
-/// uses [`ConflictModel::Fine`] (that *is* the algorithm's contribution).
-pub fn compact(
-    m: &MachineDesc,
-    ops: &[SelectedOp],
-    algo: Algorithm,
-    model: ConflictModel,
-) -> Compaction {
-    if ops.is_empty() {
-        return Compaction {
-            instrs: Vec::new(),
-            mi_of: Vec::new(),
-        };
-    }
-    let g = DepGraph::build(ops);
-    match algo {
-        Algorithm::Linear => linear(m, ops, &g, model),
-        Algorithm::CriticalPath => list_schedule(m, ops, &g, model),
-        Algorithm::LevelPack => level_pack(m, ops, &g, model),
-        Algorithm::Tokoro => list_schedule(m, ops, &g, ConflictModel::Fine),
-        Algorithm::BranchBound => {
-            if ops.len() <= BB_MAX_OPS {
-                bb::branch_and_bound(m, ops, &g, model)
-            } else {
-                list_schedule(m, ops, &g, model)
-            }
-        }
-        Algorithm::Sequential => sequential(ops),
-    }
-}
-
 /// The result of [`compact_degrading`]: the schedule, the algorithm that
 /// finally produced it, and the fallback chain taken to get there.
 #[derive(Debug, Clone)]
@@ -325,7 +313,15 @@ pub struct DegradedCompaction {
     /// One entry per degradation step; empty when the requested algorithm
     /// succeeded outright.
     pub events: Vec<String>,
+    /// How weak the producing algorithm is in the chain: 0 for the
+    /// requested one, then 1 for critical path, 2 for first-come-first-
+    /// served and 3 for strictly sequential.
+    pub rank: usize,
 }
+
+/// The fallbacks tried, strongest first, when the requested algorithm
+/// fails; strictly sequential, which cannot fail, comes after them.
+const FALLBACKS: [Algorithm; 2] = [Algorithm::CriticalPath, Algorithm::Linear];
 
 /// Last-resort schedule: one operation per microinstruction, in program
 /// order. Structurally incapable of packing conflicts or reordering
@@ -367,7 +363,8 @@ fn check(
     Ok(())
 }
 
-/// Compacts a block with graceful degradation instead of failure.
+/// Compacts one basic block of selected operations, with graceful
+/// degradation instead of failure. This is the crate's one entry point.
 ///
 /// The chain is: the requested algorithm (the exact search is capped by
 /// the deterministic `bb_budget` node budget and the [`BB_MAX_OPS`] size
@@ -375,7 +372,8 @@ fn check(
 /// strictly sequential. Every attempt is validated against the dependence
 /// DAG and the machine's conflict oracle; an invalid schedule drops to the
 /// next stage and records why, so the pipeline always emits *correct*
-/// code, merely less compact under duress.
+/// code, merely less compact under duress. Every stage schedules under
+/// [`Algorithm::model`] of `model`.
 pub fn compact_degrading(
     m: &MachineDesc,
     ops: &[SelectedOp],
@@ -391,14 +389,11 @@ pub fn compact_degrading(
             },
             algorithm_used: algo.name(),
             events: Vec::new(),
+            rank: 0,
         };
     }
     let g = DepGraph::build(ops);
-    let used_model = if algo == Algorithm::Tokoro {
-        ConflictModel::Fine
-    } else {
-        model
-    };
+    let model = algo.model(model);
     let mut events: Vec<String> = Vec::new();
 
     // Stage 1: the requested algorithm.
@@ -422,18 +417,18 @@ pub fn compact_degrading(
             Some(c)
         }
         Algorithm::Linear => Some(linear(m, ops, &g, model)),
-        Algorithm::CriticalPath => Some(list_schedule(m, ops, &g, model)),
+        Algorithm::CriticalPath | Algorithm::Tokoro => Some(list_schedule(m, ops, &g, model)),
         Algorithm::LevelPack => Some(level_pack(m, ops, &g, model)),
-        Algorithm::Tokoro => Some(list_schedule(m, ops, &g, ConflictModel::Fine)),
         Algorithm::Sequential => Some(sequential(ops)),
     };
     if let Some(c) = attempt {
-        match check(m, &g, &c, used_model) {
+        match check(m, &g, &c, model) {
             Ok(()) => {
                 return DegradedCompaction {
                     compaction: c,
                     algorithm_used: algo.name(),
                     events,
+                    rank: 0,
                 }
             }
             Err(e) => events.push(format!("{}: invalid schedule ({e}); degrading", algo.name())),
@@ -441,7 +436,7 @@ pub fn compact_degrading(
     }
 
     // Stage 2/3: list scheduling, then first-come-first-served.
-    for fallback in [Algorithm::CriticalPath, Algorithm::Linear] {
+    for (i, fallback) in FALLBACKS.into_iter().enumerate() {
         if fallback == algo {
             continue; // already tried as the request itself
         }
@@ -455,6 +450,7 @@ pub fn compact_degrading(
                     compaction: c,
                     algorithm_used: fallback.name(),
                     events,
+                    rank: i + 1,
                 }
             }
             Err(e) => {
@@ -467,8 +463,9 @@ pub fn compact_degrading(
     events.push("sequential: one operation per microinstruction".into());
     DegradedCompaction {
         compaction: sequential(ops),
-        algorithm_used: "sequential",
+        algorithm_used: Algorithm::Sequential.name(),
         events,
+        rank: FALLBACKS.len() + 1,
     }
 }
 
@@ -517,6 +514,24 @@ mod tests {
 
     fn sel(m: &MachineDesc, mir: &[MirOp]) -> Vec<SelectedOp> {
         mir.iter().map(|o| select_op(m, o).unwrap()).collect()
+    }
+
+    /// The schedule alone, under the default exact-search budget.
+    fn compact(
+        m: &MachineDesc,
+        ops: &[SelectedOp],
+        algo: Algorithm,
+        model: ConflictModel,
+    ) -> Compaction {
+        compact_degrading(m, ops, algo, model, BB_DEFAULT_BUDGET).compaction
+    }
+
+    #[test]
+    fn names_round_trip() {
+        for a in Algorithm::ALL.into_iter().chain([Algorithm::Sequential]) {
+            assert_eq!(Algorithm::from_name(a.name()), Some(a));
+        }
+        assert_eq!(Algorithm::from_name("fastest"), None);
     }
 
     fn r(m: &MachineDesc, i: u16) -> Operand {

@@ -23,16 +23,6 @@ pub struct EmitReport {
     pub degradations: Vec<String>,
 }
 
-/// Degradation rank: higher = weaker algorithm.
-fn degrade_rank(name: &str) -> u32 {
-    match name {
-        "critpath" => 1,
-        "linear" => 2,
-        "sequential" => 3,
-        _ => 0, // the requested algorithm itself
-    }
-}
-
 fn control_op(m: &MachineDesc, sem: Semantic) -> mcc_machine::TemplateId {
     m.templates_for(sem)
         .next()
@@ -66,14 +56,7 @@ pub fn emit(
     model: ConflictModel,
     bb_budget: u64,
 ) -> (MicroProgram, EmitReport) {
-    // Tokoro-style compaction always judges conflicts per phase; the
-    // emitted code must be validated (and terminators packed) under the
-    // same model it was scheduled with.
-    let model = if algo == Algorithm::Tokoro {
-        ConflictModel::Fine
-    } else {
-        model
-    };
+    let model = algo.model(model);
     // Dispatch-table blocks may not collapse to zero instructions.
     let mut table_blocks: HashSet<u32> = HashSet::new();
     for b in &f.blocks {
@@ -105,7 +88,7 @@ pub fn emit(
         algorithm_used: algo.name().to_string(),
         degradations: Vec::new(),
     };
-    let mut worst = 0u32;
+    let mut worst = 0;
     let mut out = MicroProgram::new();
     for (i, b) in f.blocks.iter().enumerate() {
         let fall = |t: u32| falls_through(i, t, &empty);
@@ -114,13 +97,8 @@ pub fn emit(
         for ev in &d.events {
             report.degradations.push(format!("b{i}: {ev}"));
         }
-        let rank = if d.algorithm_used == algo.name() {
-            0
-        } else {
-            degrade_rank(d.algorithm_used)
-        };
-        if rank > worst {
-            worst = rank;
+        if d.rank > worst {
+            worst = d.rank;
             report.algorithm_used = d.algorithm_used.to_string();
         }
         let mut instrs = d.compaction.instrs;

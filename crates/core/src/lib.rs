@@ -307,11 +307,6 @@ impl CompileStats {
         }
     }
 
-    /// Total wall-clock nanoseconds across all recorded passes.
-    pub fn compile_nanos(&self) -> u64 {
-        self.pass_nanos.iter().map(|&(_, ns)| ns).sum()
-    }
-
     /// Mean micro-operations per microinstruction.
     pub fn packing_ratio(&self) -> f64 {
         if self.micro_instrs == 0 {

@@ -744,11 +744,15 @@ pub fn lower(module: &Module) -> Result<EmplProgram, Diagnostic> {
     lw.b.switch_to(lw.error_block);
     lw.b.terminate(Term::Halt);
 
-    // Undefined labels?
-    for (name, (_, defined)) in &lw.labels {
-        if !defined {
-            return Err(err(format!("label `{name}` is never defined")));
-        }
+    // Undefined labels? Blocks are numbered in order of first mention,
+    // so the smallest names the one the source references first.
+    let undefined = lw
+        .labels
+        .iter()
+        .filter(|&(_, &(_, defined))| !defined)
+        .min_by_key(|&(_, &(b, _))| b);
+    if let Some((name, _)) = undefined {
+        return Err(err(format!("label `{name}` is never defined")));
     }
 
     // Observability.
@@ -758,12 +762,17 @@ pub fn lower(module: &Module) -> Result<EmplProgram, Diagnostic> {
         match b {
             Binding::Scalar(o) => {
                 globals.insert(n.clone(), *o);
-                lw.b.mark_live_out(*o);
             }
             Binding::Array { base, len } => {
                 arrays.insert(n.clone(), (*base, *len));
             }
         }
+    }
+    // Globals are vregs numbered in declaration order.
+    let mut live: Vec<Operand> = globals.values().copied().collect();
+    live.sort_unstable();
+    for o in live {
+        lw.b.mark_live_out(o);
     }
     lw.b.mark_live_out(error_flag);
 
@@ -988,6 +997,18 @@ Y = POP(ADDRESS_STK);
     fn undefined_label_reported() {
         let r = compile("DECLARE X FIXED; GOTO NOWHERE;");
         assert!(r.unwrap_err().message.contains("never defined"));
+    }
+
+    #[test]
+    fn first_referenced_undefined_label_is_reported() {
+        let src = "GOTO ALPHA; GOTO BETA; GOTO GAMMA;";
+        let messages: std::collections::BTreeSet<String> =
+            (0..50).map(|_| compile(src).unwrap_err().message).collect();
+        assert_eq!(messages.len(), 1, "{messages:?}");
+        assert!(
+            messages.iter().all(|msg| msg.contains("`ALPHA`")),
+            "{messages:?}"
+        );
     }
 
     #[test]

@@ -95,17 +95,6 @@ impl Default for FaultMix {
 }
 
 impl FaultMix {
-    /// Only control-store bit flips (for protected-vs-raw comparisons).
-    pub fn control_only() -> Self {
-        FaultMix {
-            control: 1,
-            register: 0,
-            memory: 0,
-            stuck: 0,
-            unmap: 0,
-        }
-    }
-
     fn total(&self) -> u32 {
         self.control + self.register + self.memory + self.stuck + self.unmap
     }
@@ -398,8 +387,15 @@ mod tests {
     fn mix_weights_select_kinds() {
         let s = space();
         let mut rng = StdRng::seed_from_u64(11);
+        let control_only = FaultMix {
+            control: 1,
+            register: 0,
+            memory: 0,
+            stuck: 0,
+            unmap: 0,
+        };
         for _ in 0..100 {
-            let f = sample_fault(&mut rng, &s, &FaultMix::control_only());
+            let f = sample_fault(&mut rng, &s, &control_only);
             assert!(matches!(f.kind, FaultKind::ControlBitFlip { .. }));
         }
     }

@@ -35,6 +35,15 @@ use std::time::{Duration, Instant};
 use mcc_harness::restart::{RestartDecision, RestartPolicy, RestartTracker};
 use mcc_serve::proto::{self, Response};
 
+/// How often each `Up` shard is pinged for its heartbeat.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(100);
+
+/// An `Up` shard silent for this long is killed and restarted.
+const UNHEALTHY_AFTER: Duration = Duration::from_secs(2);
+
+/// How long a child gets to print its listen banner.
+const SPAWN_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// How the supervisor runs one fleet.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -52,10 +61,6 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Restart budget and backoff shape, per shard.
     pub restart: RestartPolicy,
-    /// How often each `Up` shard is pinged for its heartbeat.
-    pub heartbeat_interval: Duration,
-    /// An `Up` shard silent for this long is killed and restarted.
-    pub unhealthy_after: Duration,
     /// Uptime after which a shard is declared stable (refills its
     /// restart budget).
     pub stable_after: Duration,
@@ -66,8 +71,6 @@ pub struct FleetConfig {
     /// Root under which each shard keeps a **persistent** cache dir
     /// (`<root>/<name>`): a restarted shard rejoins warm.
     pub cache_root: PathBuf,
-    /// How long a child gets to print its listen banner.
-    pub spawn_timeout: Duration,
     /// Narrate supervision transitions on stderr.
     pub log: bool,
 }
@@ -83,13 +86,10 @@ impl FleetConfig {
             queue_bound: 64,
             seed: 0,
             restart: RestartPolicy::default(),
-            heartbeat_interval: Duration::from_millis(100),
-            unhealthy_after: Duration::from_secs(2),
             stable_after: Duration::from_secs(1),
             hedge_ms: 0,
             probe_interval_ms: 50,
             cache_root,
-            spawn_timeout: Duration::from_secs(10),
             log: false,
         }
     }
@@ -367,7 +367,7 @@ fn spawn_shard(cfg: &FleetConfig, spec: &ShardSpec, first: bool) -> Result<(Chil
     let mut cmd = Command::new(&cfg.exe);
     cmd.args(argv)
         .env("MCC_CACHE_DIR", cfg.cache_root.join(&spec.name));
-    child::spawn_with_banner(&mut cmd, cfg.spawn_timeout)
+    child::spawn_with_banner(&mut cmd, SPAWN_TIMEOUT)
 }
 
 /// Spawns the router fronting `backends` on the configured port.
@@ -385,7 +385,7 @@ fn spawn_router(cfg: &FleetConfig, backends: &[(String, String)]) -> Result<(Chi
     for (name, addr) in backends {
         cmd.arg("--backend").arg(format!("{name}={addr}"));
     }
-    child::spawn_with_banner(&mut cmd, cfg.spawn_timeout)
+    child::spawn_with_banner(&mut cmd, SPAWN_TIMEOUT)
 }
 
 /// Feeds one crash into the slot's tracker and records the verdict in
@@ -559,14 +559,14 @@ fn supervise(
                 if Instant::now() < slot.next_heartbeat {
                     continue;
                 }
-                slot.next_heartbeat = Instant::now() + cfg.heartbeat_interval;
+                slot.next_heartbeat = Instant::now() + HEARTBEAT_INTERVAL;
                 let id = format!(
                     "fleet-hb-{}-{}",
                     slot.spec.name,
                     frames.fetch_add(1, Ordering::Relaxed)
                 );
                 let ping = format!("{{\"op\":\"ping\",\"id\":\"{id}\"}}\n");
-                match child::line_call(&addr, &ping, cfg.heartbeat_interval.max(Duration::from_millis(250))) {
+                match child::line_call(&addr, &ping, HEARTBEAT_INTERVAL.max(Duration::from_millis(250))) {
                     Ok(pong) if Response::field_str(&pong, "pong").is_some() => {
                         slot.last_ok = Instant::now();
                         registry.heartbeat(
@@ -590,7 +590,7 @@ fn supervise(
                         }
                     }
                     _ => {
-                        if slot.last_ok.elapsed() >= cfg.unhealthy_after {
+                        if slot.last_ok.elapsed() >= UNHEALTHY_AFTER {
                             if cfg.log {
                                 eprintln!(
                                     "mcc fleet: shard {} unresponsive for {:?}; killing it",

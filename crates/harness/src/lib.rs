@@ -549,8 +549,8 @@ fn supervise(
         // deadline scan / retry promotion).
         match pool.recv_timeout(SUPERVISOR_TICK) {
             Ok((token, outcome)) => {
-                // A result for a condemned token raced past the check in
-                // its worker; the condemnation already resolved it.
+                // An outcome for an attempt the deadline scan already
+                // resolved without condemning it is dropped.
                 if let Some(f) = in_flight.remove(&token) {
                     let was_chaos = chaos_tokens.remove(&token);
                     match outcome {
@@ -599,8 +599,9 @@ fn supervise(
 
         // Deadline scan: condemn overdue attempts. The stalled worker
         // keeps running (threads cannot be safely killed); it will see
-        // its token in the condemned set when it finally finishes and
-        // exit without reporting. A fresh worker replaces it now.
+        // its token condemned when it finally finishes and exit without
+        // reporting. A fresh worker replaces it now. An attempt no worker
+        // is running is not condemned; its outcome is dropped above.
         if let Some(deadline) = cfg.deadline {
             let now = Instant::now();
             let overdue: Vec<u64> = in_flight

@@ -10,16 +10,17 @@
 //! * every task runs behind [`std::panic::catch_unwind`], so a panicking
 //!   task is reported, never fatal;
 //! * a **condemned** token ([`WorkerPool::condemn`]) marks an attempt the
-//!   caller has given up on (deadline exceeded): a replacement worker is
-//!   spawned immediately, and when the stalled thread eventually finishes
-//!   it notices the condemnation and exits without reporting — threads
-//!   cannot be killed safely, but they can be made irrelevant;
+//!   caller has given up on (deadline exceeded) while a worker is still
+//!   running it: a replacement worker is spawned immediately, and when
+//!   the stalled thread eventually finishes it notices the condemnation
+//!   and exits without reporting — threads cannot be killed safely, but
+//!   they can be made irrelevant;
 //! * [`WorkerPool::shutdown`] wakes idle workers and joins them, unless a
 //!   condemned thread may still be stalled inside a task, in which case
 //!   handles are dropped so shutdown never inherits the stall.
 
 use std::any::Any;
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -56,9 +57,11 @@ struct PoolShared<T: Send> {
     /// (ready queue, shutdown flag) under one lock, signalled by `cv`.
     queue: ReadyQueue<T>,
     cv: Condvar,
-    /// Tokens of condemned attempts: a worker finishing one of these
-    /// exits without reporting (its replacement is already running).
-    condemned: Mutex<HashSet<u64>>,
+    /// Tokens being run, each with whether it is condemned: a worker
+    /// finishing a condemned one exits without reporting (its
+    /// replacement is already running). Entered under the queue lock,
+    /// so a token is always queued, running or finished.
+    running: Mutex<HashMap<u64, bool>>,
 }
 
 /// A fixed-size pool of worker threads executing caller-tokenized tasks.
@@ -108,6 +111,7 @@ fn spawn_worker<T: Send + 'static>(
             let mut g = shared.queue.lock().unwrap();
             loop {
                 if let Some(t) = g.0.pop_front() {
+                    shared.running.lock().unwrap().insert(t.0, false);
                     break t;
                 }
                 if g.1 {
@@ -122,7 +126,7 @@ fn spawn_worker<T: Send + 'static>(
         };
         // A condemned attempt already has a replacement worker and a
         // recorded failure; this thread's job now is only to disappear.
-        if shared.condemned.lock().unwrap().remove(&token) {
+        if shared.running.lock().unwrap().remove(&token) == Some(true) {
             return;
         }
         if tx.send((token, outcome)).is_err() {
@@ -137,7 +141,7 @@ impl<T: Send + 'static> WorkerPool<T> {
         let shared = Arc::new(PoolShared {
             queue: Mutex::new((VecDeque::new(), false)),
             cv: Condvar::new(),
-            condemned: Mutex::new(HashSet::new()),
+            running: Mutex::new(HashMap::new()),
         });
         let (tx, rx) = mpsc::channel();
         let handles = (0..workers.max(1))
@@ -182,13 +186,19 @@ impl<T: Send + 'static> WorkerPool<T> {
         self.rx.recv_timeout(timeout)
     }
 
-    /// Condemns an in-flight attempt: its eventual result will be
-    /// discarded, and a replacement worker is spawned immediately so the
-    /// pool's capacity is unaffected by the stalled thread.
-    pub fn condemn(&mut self, token: u64) {
-        self.shared.condemned.lock().unwrap().insert(token);
+    /// Condemns an attempt a worker is still running: its eventual
+    /// result will be discarded, and a replacement worker is spawned
+    /// immediately so the pool's capacity is unaffected by the stalled
+    /// thread. Returns whether it did; a queued or finished token is
+    /// left alone and its outcome reported as usual.
+    pub fn condemn(&mut self, token: u64) -> bool {
+        match self.shared.running.lock().unwrap().get_mut(&token) {
+            Some(condemned) if !*condemned => *condemned = true,
+            _ => return false,
+        }
         self.handles
             .push(spawn_worker(Arc::clone(&self.shared), self.tx.clone()));
+        true
     }
 
     /// Shuts the pool down: wakes idle workers, which exit on the flag.
@@ -201,8 +211,8 @@ impl<T: Send + 'static> WorkerPool<T> {
             g.1 = true;
         }
         self.shared.cv.notify_all();
-        let condemned_empty = self.shared.condemned.lock().unwrap().is_empty();
-        if condemned_empty {
+        let none_condemned = !self.shared.running.lock().unwrap().values().any(|&c| c);
+        if none_condemned {
             for h in self.handles {
                 let _ = h.join();
             }
@@ -259,16 +269,20 @@ mod tests {
     #[test]
     fn condemned_task_never_reports_and_replacement_serves() {
         let mut pool: WorkerPool<&'static str> = WorkerPool::new(1);
+        let (started_tx, started_rx) = mpsc::channel();
         pool.submit(
             1,
-            Box::new(|| {
+            Box::new(move || {
+                started_tx.send(()).unwrap();
                 std::thread::sleep(Duration::from_millis(150));
                 "stalled"
             }),
         );
-        // Condemn the stalled attempt; the replacement worker picks up
-        // the next task even though the first thread is still sleeping.
-        pool.condemn(1);
+        // Condemn the stalled attempt once a worker runs it (a queued
+        // token is not condemned); the replacement worker picks up the
+        // next task even though the first thread is still sleeping.
+        started_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(pool.condemn(1));
         pool.submit(2, Box::new(|| "fresh"));
         let (tok, out) = pool.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(tok, 2);
@@ -278,6 +292,45 @@ mod tests {
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             other => panic!("condemned result leaked: {other:?}"),
         }
+        pool.shutdown();
+    }
+
+    /// Condemning a token whose outcome is already waiting in the channel
+    /// adds no worker: a one-worker pool still runs one task at a time.
+    #[test]
+    fn condemning_a_finished_task_adds_no_worker() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let mut pool: WorkerPool<()> = WorkerPool::new(1);
+        let (started_tx, started_rx) = mpsc::channel();
+        pool.submit(1, Box::new(|| ()));
+        // The only worker reaches task 2 after reporting task 1.
+        pool.submit(2, Box::new(move || started_tx.send(()).unwrap()));
+        started_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(!pool.condemn(1), "a finished token is not condemned");
+        let active = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        for token in [3, 4] {
+            let (active, peak) = (Arc::clone(&active), Arc::clone(&peak));
+            pool.submit(
+                token,
+                Box::new(move || {
+                    let now = active.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak.fetch_max(now, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(300));
+                    active.fetch_sub(1, Ordering::SeqCst);
+                }),
+            );
+        }
+        let mut tokens: Vec<u64> = (0..4)
+            .map(|_| pool.recv_timeout(Duration::from_secs(5)).unwrap().0)
+            .collect();
+        tokens.sort_unstable();
+        assert_eq!(tokens, [1, 2, 3, 4], "task 1 still reports");
+        assert_eq!(
+            peak.load(Ordering::SeqCst),
+            1,
+            "one worker, one task at a time"
+        );
         pool.shutdown();
     }
 }

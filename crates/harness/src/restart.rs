@@ -110,11 +110,6 @@ impl RestartTracker {
         self.streak = 0;
     }
 
-    /// Whether the child is quarantined (restart budget exhausted).
-    pub fn is_quarantined(&self) -> bool {
-        !self.breaker.is_closed()
-    }
-
     /// Restarts attempted over the tracker's life.
     pub fn restarts(&self) -> u64 {
         self.restarts
@@ -149,9 +144,9 @@ mod tests {
                 RestartDecision::Quarantine => panic!("quarantined below budget"),
             }
         }
-        assert!(!t.is_quarantined());
+        assert!(t.breaker.is_closed());
         assert_eq!(t.on_crash(7, "b0"), RestartDecision::Quarantine);
-        assert!(t.is_quarantined());
+        assert!(!t.breaker.is_closed());
         assert_eq!(t.restarts(), 3, "the budget counts restarts, not crashes");
         // Further crashes (there should be none, but a racing reap may
         // still report one) stay quarantined.

@@ -144,13 +144,6 @@ impl<'a> Cursor<'a> {
         self.src[self.pos..].chars().next()
     }
 
-    /// Character after next, without consuming.
-    pub fn peek2(&self) -> Option<char> {
-        let mut it = self.src[self.pos..].chars();
-        it.next();
-        it.next()
-    }
-
     /// Consumes and returns the next character.
     pub fn bump(&mut self) -> Option<char> {
         let c = self.peek()?;
@@ -546,7 +539,6 @@ mod tests {
     fn cursor_basics() {
         let mut c = Cursor::new("ab cd");
         assert_eq!(c.peek(), Some('a'));
-        assert_eq!(c.peek2(), Some('b'));
         assert_eq!(c.bump(), Some('a'));
         assert!(c.eat('b'));
         c.skip_ws();

@@ -7,12 +7,10 @@
 //! is one half of the conflict oracle in
 //! [`MachineDesc::conflicts`](crate::MachineDesc::conflicts).
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::FieldId;
 
 /// One named bit field of the control word.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ControlField {
     /// Field name, e.g. `"alu_op"` or `"next_addr"`.
     pub name: String,
@@ -42,16 +40,11 @@ impl ControlField {
             (1u64 << self.width) - 1
         }
     }
-
-    /// The half-open bit range `[offset, offset + width)` this field covers.
-    pub fn bit_range(&self) -> std::ops::Range<u32> {
-        self.offset as u32..self.offset as u32 + self.width as u32
-    }
 }
 
 /// The complete control word format of a machine: an ordered list of
 /// non-overlapping fields.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ControlWordFormat {
     fields: Vec<ControlField>,
 }
@@ -166,10 +159,9 @@ mod tests {
     }
 
     #[test]
-    fn max_value_and_bit_range() {
+    fn max_value_fills_the_width() {
         let f = ControlField::new("x", 3, 4);
         assert_eq!(f.max_value(), 15);
-        assert_eq!(f.bit_range(), 3..7);
     }
 
     #[test]

@@ -5,14 +5,10 @@
 //! own newtype id so that the indices cannot be confused with one another
 //! (C-NEWTYPE).
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u16);
 
         impl $name {

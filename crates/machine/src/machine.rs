@@ -1,8 +1,6 @@
 //! The machine description proper, its validation, and the micro-operation
 //! conflict oracle.
 
-use serde::{Deserialize, Serialize};
-
 use crate::field::ControlWordFormat;
 use crate::ids::{ClassId, FileId, ResourceId, TemplateId};
 use crate::op::{BoundOp, MicroInstr};
@@ -12,7 +10,7 @@ use crate::semantic::{CondKind, Semantic};
 use crate::template::{FieldValueSrc, MicroOpTemplate, SrcSpec};
 
 /// Which conflict model the compactor uses (experiment E2 compares them).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ConflictModel {
     /// Coarse: two operations touching the same resource conflict no matter
     /// the phases — the classic "one user per unit per cycle" model.
@@ -57,7 +55,7 @@ impl std::fmt::Display for MachineError {
 impl std::error::Error for MachineError {}
 
 /// A complete microarchitecture description.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MachineDesc {
     /// Machine name, e.g. `"HM-1"`.
     pub name: String,
@@ -215,11 +213,6 @@ impl MachineDesc {
     /// Whether the machine can test the given condition.
     pub fn supports_cond(&self, c: CondKind) -> bool {
         self.cond_encoding(c).is_some()
-    }
-
-    /// The flags pseudo-register, when the machine has one.
-    pub fn flags_reg(&self) -> Option<RegRef> {
-        self.special.flags
     }
 
     /// Resolves a register name of the form `FILE<index>` (`R3`, `G2`,

@@ -5,14 +5,12 @@
 //! control word; a [`MicroProgram`] is a control store image plus block
 //! structure (symbolic branch targets are block ids until emission).
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::TemplateId;
 use crate::regs::RegRef;
 use crate::semantic::CondKind;
 
 /// A micro-operation bound to concrete operands.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BoundOp {
     /// Which template.
     pub template: TemplateId,
@@ -76,7 +74,7 @@ impl BoundOp {
 /// One microinstruction: a set of micro-operations executed in the same
 /// microcycle. Construction does not check conflicts; use
 /// [`MachineDesc::validate_instr`](crate::MachineDesc::validate_instr).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MicroInstr {
     /// The packed operations.
     pub ops: Vec<BoundOp>,
@@ -110,7 +108,7 @@ impl MicroInstr {
 }
 
 /// A basic block of microinstructions.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MicroBlock {
     /// The instructions, in execution order.
     pub instrs: Vec<MicroInstr>,
@@ -118,7 +116,7 @@ pub struct MicroBlock {
 
 /// A complete microprogram: blocks of microinstructions with symbolic
 /// branch targets referring to block indices.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MicroProgram {
     /// The blocks; block 0 is the entry.
     pub blocks: Vec<MicroBlock>,

@@ -6,12 +6,10 @@
 //! template constrains each operand to a class, and the register allocator
 //! must honour those classes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::FileId;
 
 /// A register file: a named, uniformly-sized group of registers.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RegisterFile {
     /// File name, e.g. `"R"` (general purpose) or `"LS"` (local store).
     pub name: String,
@@ -38,7 +36,7 @@ impl RegisterFile {
 }
 
 /// A reference to one concrete register: a file and an index within it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RegRef {
     /// The register file.
     pub file: FileId,
@@ -61,7 +59,7 @@ impl std::fmt::Display for RegRef {
 
 /// A register class: the set of registers admissible as a particular
 /// operand. Classes are unions of contiguous ranges of register files.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegClass {
     /// Class name, e.g. `"gp"`, `"alu_left"`, `"mar_only"`.
     pub name: String,
@@ -75,14 +73,6 @@ impl RegClass {
         RegClass {
             name: name.into(),
             ranges: vec![(file, 0, count)],
-        }
-    }
-
-    /// Creates a class covering exactly one register.
-    pub fn singleton(name: impl Into<String>, reg: RegRef) -> Self {
-        RegClass {
-            name: name.into(),
-            ranges: vec![(reg.file, reg.index, 1)],
         }
     }
 
@@ -136,7 +126,7 @@ impl RegClass {
 ///
 /// The simulator and several passes need to find "the MAR", "the flags
 /// register", etc. without string matching; machines record them here.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpecialRegs {
     /// Memory address register.
     pub mar: Option<RegRef>,
@@ -174,7 +164,7 @@ mod tests {
         assert_eq!(c1.selector_bits(), 4);
         let c2 = RegClass::whole_file("r17", FileId(0), 17);
         assert_eq!(c2.selector_bits(), 5);
-        let c3 = RegClass::singleton("one", RegRef::new(FileId(0), 0));
+        let c3 = RegClass::from_ranges("one", vec![(FileId(0), 0, 1)]);
         assert_eq!(c3.selector_bits(), 1);
     }
 
@@ -183,7 +173,7 @@ mod tests {
         let f = RegClass::whole_file("gp", FileId(2), 8);
         assert_eq!(f.size(), 8);
         assert!(f.contains(RegRef::new(FileId(2), 7)));
-        let s = RegClass::singleton("acc", RegRef::new(FileId(3), 0));
+        let s = RegClass::from_ranges("acc", vec![(FileId(3), 0, 1)]);
         assert_eq!(s.size(), 1);
         assert_eq!(s.encoding_of(RegRef::new(FileId(3), 0)), Some(0));
     }

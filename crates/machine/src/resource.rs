@@ -9,13 +9,11 @@
 //! sharing a resource can still be packed together when their occupancies
 //! are phase-disjoint.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::ResourceId;
 
 /// The broad kind of a hardware resource, used for reporting only (the
 /// conflict model treats all resources uniformly).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
     /// An arithmetic/logic unit.
     Alu,
@@ -49,7 +47,7 @@ impl std::fmt::Display for ResourceKind {
 }
 
 /// One hardware resource.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Resource {
     /// Resource name, e.g. `"alu0"` or `"main_bus"`.
     pub name: String,
@@ -69,7 +67,7 @@ impl Resource {
 
 /// Occupancy of one resource over a half-open phase interval
 /// `[from_phase, to_phase)` of the microcycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ResourceUse {
     /// Which resource.
     pub resource: ResourceId,

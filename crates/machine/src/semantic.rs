@@ -7,10 +7,8 @@
 //! shared by SIMPL, EMPL and YALLL in the survey: ALU operations, shifts,
 //! moves, memory access, and sequencing.
 
-use serde::{Deserialize, Serialize};
-
 /// Binary and unary ALU operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AluOp {
     /// `dst = a + b`
     Add,
@@ -95,7 +93,7 @@ impl AluOp {
 }
 
 /// Shift and rotate operations. All take a source and a shift amount.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShiftOp {
     /// Logical shift left.
     Shl,
@@ -157,7 +155,7 @@ impl ShiftOp {
 /// Testable machine conditions, used by conditional branch
 /// micro-operations. Each machine lists which of these its sequencer can
 /// test; the encoding of a condition is its position in that list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CondKind {
     /// Always true (turns a conditional branch into a jump).
     True,
@@ -217,7 +215,7 @@ impl CondKind {
 }
 
 /// The architectural meaning of a micro-operation template.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Semantic {
     /// ALU operation; binary ops use `src0`, `src1` (or `src0`, `imm`);
     /// unary ops use `src0`.

@@ -6,15 +6,13 @@
 //! template to concrete operands yields a [`BoundOp`](crate::op::BoundOp) —
 //! the unit of microinstruction composition.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{ClassId, FieldId};
 use crate::regs::RegRef;
 use crate::resource::ResourceUse;
 use crate::semantic::Semantic;
 
 /// What a source operand of a template may be.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SrcSpec {
     /// A register drawn from the given class.
     Class(ClassId),
@@ -28,7 +26,7 @@ pub enum SrcSpec {
 
 /// Where the value written into a control field comes from when a template
 /// is bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FieldValueSrc {
     /// A fixed value (typically the unit's opcode selector).
     Const(u64),
@@ -45,7 +43,7 @@ pub enum FieldValueSrc {
 }
 
 /// One field driven by a template.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FieldSetting {
     /// Which control field.
     pub field: FieldId,
@@ -61,7 +59,7 @@ impl FieldSetting {
 }
 
 /// A micro-operation template.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MicroOpTemplate {
     /// Template name, e.g. `"add"`, `"shr"`, `"read"`.
     pub name: String,

@@ -121,11 +121,6 @@ impl DepGraph {
         &self.edges
     }
 
-    /// Successors of `i` with edge kinds.
-    pub fn succs(&self, i: usize) -> &[(usize, DepKind)] {
-        &self.succ[i]
-    }
-
     /// Predecessors of `i` with edge kinds.
     pub fn preds(&self, i: usize) -> &[(usize, DepKind)] {
         &self.pred[i]

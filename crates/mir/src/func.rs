@@ -1,7 +1,5 @@
 //! Functions, blocks and terminators.
 
-use serde::{Deserialize, Serialize};
-
 use crate::op::MirOp;
 use crate::operand::Operand;
 
@@ -9,7 +7,7 @@ use crate::operand::Operand;
 pub type BlockId = u32;
 
 /// How control leaves a basic block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Term {
     /// Fall to the given block.
     Jump(BlockId),
@@ -67,7 +65,7 @@ impl Term {
 }
 
 /// A basic block: straight-line operations plus one terminator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MirBlock {
     /// Optional label (for diagnostics and tests).
     pub label: Option<String>,
@@ -126,7 +124,7 @@ impl std::fmt::Display for MirError {
 impl std::error::Error for MirError {}
 
 /// A complete function (microprogram) in MIR form.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MirFunction {
     /// Function name, for diagnostics.
     pub name: String,
@@ -209,21 +207,6 @@ impl MirFunction {
             }
         }
         Ok(())
-    }
-
-    /// Predecessor lists for every block.
-    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for (i, b) in self.blocks.iter().enumerate() {
-            if let Some(t) = &b.term {
-                for s in t.successors() {
-                    preds[s as usize].push(i as BlockId);
-                }
-            }
-            // A call returns to the op after it; the callee's Ret flows
-            // back, but for CFG purposes we treat Call as straight-line.
-        }
-        preds
     }
 }
 
@@ -313,14 +296,6 @@ mod tests {
         // A non-jump table block is rejected.
         f.blocks[2].ops.push(MirOp::ldi(VReg(0), 1));
         assert!(matches!(f.validate(), Err(MirError::BadTableBlock(2))));
-    }
-
-    #[test]
-    fn predecessors_follow_terminators() {
-        let f = two_block_fn();
-        let p = f.predecessors();
-        assert_eq!(p[1], vec![0, 0]);
-        assert!(p[0].is_empty());
     }
 
     #[test]

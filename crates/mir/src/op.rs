@@ -1,7 +1,6 @@
 //! Abstract micro-operations.
 
 use mcc_machine::{AluOp, CondKind, Semantic, ShiftOp};
-use serde::{Deserialize, Serialize};
 
 use crate::func::BlockId;
 use crate::operand::Operand;
@@ -9,7 +8,7 @@ use crate::operand::Operand;
 /// One abstract micro-operation: a [`Semantic`] plus operands. Unlike a
 /// bound operation, operands may be virtual and no machine template has
 /// been chosen yet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MirOp {
     /// What the operation does.
     pub sem: Semantic,
@@ -30,7 +29,6 @@ pub struct MirOp {
     /// condition flags this operation would set, so selection may use a
     /// flag-free template variant (unlocking packing past the single
     /// flags register, §2.1.3's classic "bizarre constraint").
-    #[serde(default)]
     pub flags_dead: bool,
 }
 

@@ -1,10 +1,9 @@
 //! Operands: virtual or physical registers.
 
 use mcc_machine::RegRef;
-use serde::{Deserialize, Serialize};
 
 /// A virtual register — a symbolic variable before allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VReg(pub u32);
 
 impl std::fmt::Display for VReg {
@@ -16,7 +15,7 @@ impl std::fmt::Display for VReg {
 /// A register operand of a [`MirOp`](crate::MirOp): either a virtual
 /// register awaiting allocation or a physical machine register (the
 /// "variables *are* machine registers" view of SIMPL, S\* and YALLL).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Operand {
     /// A virtual register.
     Vreg(VReg),
@@ -25,14 +24,6 @@ pub enum Operand {
 }
 
 impl Operand {
-    /// The virtual register, if this operand is one.
-    pub fn as_vreg(self) -> Option<VReg> {
-        match self {
-            Operand::Vreg(v) => Some(v),
-            Operand::Reg(_) => None,
-        }
-    }
-
     /// The physical register, if this operand is one.
     pub fn as_reg(self) -> Option<RegRef> {
         match self {
@@ -77,7 +68,6 @@ mod tests {
     fn conversions() {
         let v = Operand::from(VReg(3));
         assert!(v.is_virtual());
-        assert_eq!(v.as_vreg(), Some(VReg(3)));
         assert_eq!(v.as_reg(), None);
         let r = Operand::from(RegRef::new(FileId(0), 5));
         assert!(!r.is_virtual());

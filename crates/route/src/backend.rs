@@ -85,11 +85,6 @@ impl InProcBackend {
         self.dead.store(true, Ordering::SeqCst);
     }
 
-    /// Undoes [`kill`](InProcBackend::kill) — the shard restarted.
-    pub fn revive(&self) {
-        self.dead.store(false, Ordering::SeqCst);
-    }
-
     /// The wrapped server (for counter assertions in tests).
     pub fn server(&self) -> &Arc<Server> {
         &self.server
@@ -708,9 +703,14 @@ pub fn tag_backend(line: &str, name: &str) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mcc_serve::{proto::Response, ServeConfig};
+
+    /// Undoes [`InProcBackend::kill`]: the shard restarted.
+    pub(crate) fn revive(b: &InProcBackend) {
+        b.dead.store(false, Ordering::SeqCst);
+    }
 
     #[test]
     fn inproc_serves_then_kill_fails_then_revive_serves() {
@@ -719,7 +719,7 @@ mod tests {
         assert_eq!(Response::field_num(&pong, "code"), Some(200));
         b.kill();
         assert!(b.call("{\"op\":\"ping\"}\n", "t").is_err(), "killed = transport error");
-        b.revive();
+        revive(&b);
         assert!(b.call("{\"op\":\"ping\"}\n", "t").is_ok());
     }
 
@@ -738,7 +738,7 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let handle = {
             let (server, stop) = (server.clone(), stop.clone());
-            std::thread::spawn(move || mcc_serve::tcp::serve(server, listener, stop))
+            std::thread::spawn(move || mcc_serve::tcp::serve_lines(server, listener, stop))
         };
         let b = TcpBackend::new("b0", &addr, 1, 2);
         // Sequential calls after the first must reuse the pooled
@@ -791,7 +791,7 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let handle = {
             let (server, stop) = (server.clone(), stop.clone());
-            std::thread::spawn(move || mcc_serve::tcp::serve(server, listener, stop))
+            std::thread::spawn(move || mcc_serve::tcp::serve_lines(server, listener, stop))
         };
         let b = TcpBackend::new("b0", &addr, 1, 2);
         let frame = mcc_serve::proto::wrap_envelope("router-x", 11, "{\"op\":\"ping\"}");
@@ -813,7 +813,7 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let handle = {
             let (server, stop) = (server.clone(), stop.clone());
-            std::thread::spawn(move || mcc_serve::tcp::serve(server, listener, stop))
+            std::thread::spawn(move || mcc_serve::tcp::serve_lines(server, listener, stop))
         };
         let b = TcpBackend::new("v2b", &addr, 1, 2).with_proto2(true);
         // Enveloped and bare calls both ride v2, and the same rid

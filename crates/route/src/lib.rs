@@ -481,18 +481,6 @@ impl Router {
             .collect()
     }
 
-    /// The breaker state (`closed` | `open` | `half-open`) of the named
-    /// backend, or `None` if it is not a member.
-    pub fn breaker_state_of(&self, name: &str) -> Option<&'static str> {
-        self.membership
-            .read()
-            .unwrap()
-            .slots
-            .iter()
-            .find(|s| s.name == name)
-            .map(|s| s.breaker.lock().unwrap().state_name())
-    }
-
     /// Responses served by the named backend, or `None` if it is not a
     /// member.
     pub fn served_of(&self, name: &str) -> Option<u64> {
@@ -927,6 +915,19 @@ mod tests {
         }
     }
 
+    /// The breaker state (`closed` | `open` | `half-open`) of the named
+    /// backend, or `None` if it is not a member.
+    fn breaker_state_of(router: &Router, name: &str) -> Option<&'static str> {
+        router
+            .membership
+            .read()
+            .unwrap()
+            .slots
+            .iter()
+            .find(|s| s.name == name)
+            .map(|s| s.breaker.lock().unwrap().state_name())
+    }
+
     #[test]
     fn routes_compiles_consistently_and_tags_the_backend() {
         let (_shards, router) = fleet(3, no_hedge());
@@ -990,7 +991,7 @@ mod tests {
             let r = router.handle_line(&compile_line(nonces.next().unwrap()), "t");
             assert_eq!(Response::field_num(&r, "code"), Some(200));
         }
-        assert_eq!(router.breaker_state_of("b0"), Some("open"));
+        assert_eq!(breaker_state_of(&router, "b0"), Some("open"));
         let failovers_before = router.counters().failovers.load(Ordering::Relaxed);
         // ...after which b0 is skipped at dispatch: no more failovers,
         // requests go straight to b1.
@@ -1156,23 +1157,23 @@ mod tests {
         Router::start_probes(&router);
         // Probes fail, the breaker opens, requests are rejected fast.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while router.breaker_state_of("b0") != Some("open")
+        while breaker_state_of(&router, "b0") != Some("open")
             && std::time::Instant::now() < deadline
         {
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert_eq!(router.breaker_state_of("b0"), Some("open"));
+        assert_eq!(breaker_state_of(&router, "b0"), Some("open"));
         let r = router.handle_line(&compile_line(1), "t");
         assert_eq!(Response::field_num(&r, "code"), Some(503));
         // The shard comes back; a probe closes the breaker without any
         // request traffic.
-        shards[0].revive();
-        while router.breaker_state_of("b0") != Some("closed")
+        backend::tests::revive(&shards[0]);
+        while breaker_state_of(&router, "b0") != Some("closed")
             && std::time::Instant::now() < deadline
         {
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert_eq!(router.breaker_state_of("b0"), Some("closed"));
+        assert_eq!(breaker_state_of(&router, "b0"), Some("closed"));
         let r = router.handle_line(&compile_line(2), "t");
         assert_eq!(Response::field_num(&r, "code"), Some(200), "{r}");
         router.stop_probes();

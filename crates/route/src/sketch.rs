@@ -44,17 +44,6 @@ impl Sketch {
         }
         est
     }
-
-    /// Reads the current estimate without incrementing.
-    pub fn estimate(&self, key: u64) -> u64 {
-        let mut est = u64::MAX;
-        for (row, &rs) in self.rows.iter().zip(&self.seeds) {
-            #[allow(clippy::cast_possible_truncation)]
-            let idx = (splitmix64(key ^ rs) % self.width) as usize;
-            est = est.min(row[idx]);
-        }
-        est
-    }
 }
 
 #[cfg(test)]
@@ -80,16 +69,7 @@ mod tests {
             "overestimate stays modest at this load, got {last}"
         );
         // A cold key's estimate stays far below the hot key's.
-        let cold = s.estimate(splitmix64(3));
+        let cold = s.observe(splitmix64(3));
         assert!(cold < 20, "cold keys stay cold, got {cold}");
-    }
-
-    #[test]
-    fn estimate_matches_observe_without_incrementing() {
-        let mut s = Sketch::new(64, 3, 1);
-        s.observe(42);
-        s.observe(42);
-        assert_eq!(s.estimate(42), 2);
-        assert_eq!(s.estimate(42), 2, "estimate does not increment");
     }
 }

@@ -160,11 +160,6 @@ impl RateLimiter {
         self.evicted.load(Ordering::Relaxed)
     }
 
-    /// Distinct clients currently tracked (test observability).
-    pub fn tracked(&self) -> usize {
-        self.buckets.lock().unwrap().0.len()
-    }
-
     /// Takes one token for `client`; `false` means reject with `429`.
     pub fn admit(&self, client: &str) -> bool {
         let Some(rate) = self.rate else {
@@ -237,6 +232,11 @@ impl RateLimiter {
 mod tests {
     use super::*;
 
+    /// Distinct clients currently tracked.
+    fn tracked(rl: &RateLimiter) -> usize {
+        rl.buckets.lock().unwrap().0.len()
+    }
+
     #[test]
     fn tier_ladder_matches_the_documented_thresholds() {
         let bound = 8;
@@ -274,8 +274,8 @@ mod tests {
         for i in 0..1000 {
             assert!(rl.admit(&format!("churn-{i}")));
         }
-        assert!(rl.tracked() <= 8, "tracked {} exceeds cap", rl.tracked());
-        assert_eq!(rl.evicted(), 1000 - rl.tracked() as u64);
+        assert!(tracked(&rl) <= 8, "tracked {} exceeds cap", tracked(&rl));
+        assert_eq!(rl.evicted(), 1000 - tracked(&rl) as u64);
     }
 
     #[test]
@@ -300,7 +300,7 @@ mod tests {
             assert!(rl.admit(&format!("c{i}")));
         }
         assert_eq!(rl.evicted(), 0);
-        assert_eq!(rl.tracked(), 64);
+        assert_eq!(tracked(&rl), 64);
     }
 
     #[test]

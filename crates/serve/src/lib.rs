@@ -75,16 +75,9 @@ pub struct ServeConfig {
     pub deadline: Duration,
     /// Per-client token-bucket rate (requests/second); `None` = off.
     pub rate_per_client: Option<u32>,
-    /// Per-machine circuit-breaker tuning.
-    pub breaker: BreakerConfig,
     /// TCP connections idle longer than this are reaped (`None` = never);
     /// reaped connections bump the `idle_reaped` counter.
     pub idle_timeout: Option<Duration>,
-    /// Capacity of the idempotency window: how many `(client, request_id)`
-    /// keys the server remembers for exactly-once retries.
-    pub dedup_window: usize,
-    /// WFQ weight for tenants not named in [`ServeConfig::tenant_weights`].
-    pub default_weight: u32,
     /// Per-tenant WFQ weight overrides (`(tenant, weight)`).
     pub tenant_weights: Vec<(String, u32)>,
     /// Maximum *queued* (admitted but not yet dispatched) requests one
@@ -102,10 +95,7 @@ impl Default for ServeConfig {
             queue_bound: 64,
             deadline: Duration::from_millis(10_000),
             rate_per_client: None,
-            breaker: BreakerConfig::default(),
             idle_timeout: Some(Duration::from_millis(30_000)),
-            dedup_window: 4096,
-            default_weight: 1,
             tenant_weights: Vec::new(),
             tenant_quota: 0,
             trace_path: None,
@@ -115,6 +105,13 @@ impl Default for ServeConfig {
 
 /// How often the supervisor wakes to scan deadlines and the drain flag.
 const SUPERVISOR_TICK: Duration = Duration::from_millis(2);
+
+/// Capacity of the idempotency window: how many `(client, request_id)`
+/// keys the server remembers for exactly-once retries.
+const DEDUP_WINDOW: usize = 4096;
+
+/// WFQ weight for tenants not named in [`ServeConfig::tenant_weights`].
+const DEFAULT_WEIGHT: u32 = 1;
 
 /// What a worker returns for one compile request.
 type CompileResult = Result<CompileOk, String>;
@@ -242,8 +239,8 @@ impl Inner {
 }
 
 /// The daemon: construct with [`Server::start`], feed it frames with
-/// [`Server::handle_line`] (or serve TCP via [`tcp::serve`]), and stop it
-/// with [`Server::drain`] + [`Server::shutdown`].
+/// [`Server::handle_line`] (or serve TCP via [`tcp::serve_lines`]), and
+/// stop it with [`Server::drain`] + [`Server::shutdown`].
 pub struct Server {
     inner: Arc<Inner>,
     supervisor: Option<std::thread::JoinHandle<()>>,
@@ -269,20 +266,6 @@ pub fn persist_for_tier(tier: u8) -> Persist {
     } else {
         Persist::Disk
     }
-}
-
-/// Resolves an algorithm name from the wire (the CLI's names).
-fn algo_from_name(name: &str) -> Option<mcc_compact::Algorithm> {
-    use mcc_compact::Algorithm as A;
-    Some(match name {
-        "linear" => A::Linear,
-        "critpath" => A::CriticalPath,
-        "levelpack" => A::LevelPack,
-        "tokoro" => A::Tokoro,
-        "optimal" => A::BranchBound,
-        "sequential" => A::Sequential,
-        _ => return None,
-    })
 }
 
 /// 64-bit FNV-1a over an artifact's canonical serialisation: the
@@ -375,11 +358,11 @@ impl Server {
             }
         });
         let inner = Arc::new(Inner {
-            breakers: Mutex::new((BreakerBank::new(cfg.breaker), 0)),
+            breakers: Mutex::new((BreakerBank::new(BreakerConfig::default()), 0)),
             limiter: RateLimiter::new(cfg.rate_per_client),
-            dedup: DedupWindow::new(cfg.dedup_window),
+            dedup: DedupWindow::new(DEDUP_WINDOW),
             qos: Mutex::new(QosState {
-                wfq: WfqQueue::new(cfg.default_weight, &cfg.tenant_weights),
+                wfq: WfqQueue::new(DEFAULT_WEIGHT, &cfg.tenant_weights),
                 dispatched: 0,
             }),
             metrics: metrics::QosMetrics::default(),
@@ -416,7 +399,7 @@ impl Server {
     }
 
     /// Two-phase intake for one wire frame, answered in response lines:
-    /// [`Server::submit_line`] with panic containment, plus exactly-once
+    /// admission without blocking, behind panic containment, plus exactly-once
     /// semantics for a frame that arrived with an identity. Such a frame
     /// claims its key in the idempotency window at admission. A finished
     /// key replays its recorded response at once; a key still executing
@@ -484,13 +467,9 @@ impl Server {
     }
 
     /// Non-blocking intake: parses and either resolves the frame
-    /// immediately or admits it and hands back the response channel.
-    pub fn submit_line(&self, line: &str, client: &str) -> Submitted {
-        self.intake(line, client, None)
-    }
-
-    /// [`Server::submit_line`] for a frame whose `ident` has claimed a
-    /// fresh key: an admitted compile carries it to the supervisor.
+    /// immediately or admits it and hands back the response channel. A
+    /// frame whose `ident` has claimed a fresh key carries it to the
+    /// supervisor with its compile.
     fn intake(&self, line: &str, client: &str, ident: Option<&Ident>) -> Submitted {
         let req = match proto::parse_request(line) {
             Ok(r) => r,
@@ -590,7 +569,7 @@ impl Server {
         };
         let algo = match req.algo.as_deref() {
             None => CompilerOptions::default().algorithm,
-            Some(name) => match algo_from_name(name) {
+            Some(name) => match mcc_compact::Algorithm::from_name(name) {
                 Some(a) => a,
                 None => {
                     counters.bump(&counters.bad_requests);
@@ -817,8 +796,8 @@ fn lost(e: mpsc::RecvTimeoutError) -> Response {
     Response::error("", 500, &format!("response lost: {e}"))
 }
 
-/// The result of [`Server::submit_line`].
-pub enum Submitted {
+/// The result of [`Server::intake`].
+enum Submitted {
     /// Resolved immediately (controls, rejections, and errors).
     Done(Response),
     /// Admitted: the single response arrives on this channel.
@@ -919,8 +898,10 @@ fn supervise(inner: Arc<Inner>, mut pool: WorkerPool<CompileResult>) {
                 continue;
             };
             let was_queued = inner.qos.lock().unwrap().wfq.remove(token).is_some();
-            if !was_queued {
-                pool.condemn(token);
+            // A condemned attempt never reports, so its slot frees now.
+            // Otherwise its outcome, already waiting or still to come,
+            // frees the slot when it arrives.
+            if !was_queued && pool.condemn(token) {
                 let mut q = inner.qos.lock().unwrap();
                 q.dispatched = q.dispatched.saturating_sub(1);
             }
@@ -1142,7 +1123,7 @@ mod tests {
                 "{{\"op\":\"compile\",\"id\":\"filler{f}\",\"machine\":\"hm1\",\"lang\":\"yalll\",\"algo\":\"optimal\",\"src\":\"{}\"}}",
                 mcc_harness::json::esc(&filler_src)
             );
-            match s.submit_line(&filler_line, "t") {
+            match s.intake(&filler_line, "t", None) {
                 Submitted::Pending(rx) => fillers.push(rx),
                 Submitted::Done(r) => panic!("filler rejected: {}", r.to_line()),
             }
@@ -1195,7 +1176,7 @@ mod tests {
             // Distinct sources defeat the cache so each compile costs
             // real work and the queue actually fills.
             let src = format!("reg a = R0\nconst a, {i}\nadd a, a, 1\nexit a\n");
-            match s.submit_line(&proto::compile_line(&format!("b{i}"), "hm1", "yalll", &src), "t") {
+            match s.intake(&proto::compile_line(&format!("b{i}"), "hm1", "yalll", &src), "t", None) {
                 Submitted::Done(r) => immediate.push(r),
                 Submitted::Pending(rx) => pendings.push(rx),
             }

@@ -33,9 +33,7 @@
 //! Malformed frames get a structured `400` — the connection stays up,
 //! and a frame can never take the daemon down.
 
-use std::collections::HashMap;
-
-use mcc_harness::json::{esc, get_num, get_str, parse_object, Val};
+use mcc_harness::json::{esc, get_num, get_str, parse_object};
 use mcc_harness::sealed::fnv1a;
 
 /// Hard cap on one inbound wire frame. A peer that sends a longer line gets a
@@ -363,11 +361,6 @@ pub fn join_line(id: &str, name: &str, addr: &str) -> String {
 /// Renders a `leave` admin frame.
 pub fn leave_line(id: &str, name: &str) -> String {
     format!("{{\"op\":\"leave\",\"id\":\"{}\",\"name\":\"{}\"}}\n", esc(id), esc(name))
-}
-
-/// Convenience for tests: all fields of a parsed response line.
-pub fn parse_response(line: &str) -> Option<HashMap<String, Val>> {
-    parse_object(line.trim_end())
 }
 
 #[cfg(test)]

@@ -261,29 +261,6 @@ impl<T> WfqQueue<T> {
         self.len -= 1;
         Some(item.payload)
     }
-
-    /// The position `token` would be dispatched at if nothing else
-    /// arrived: 0 = next. `None` when not queued. This is the starvation
-    /// bound the regression test pins — an interactive arrival's
-    /// position is bounded by the competing tenants' weight ratios, no
-    /// matter how deep a flooder's backlog is.
-    pub fn dispatch_position(&self, token: u64) -> Option<usize> {
-        let target = self
-            .tenants
-            .iter()
-            .flat_map(|(name, tq)| tq.q.iter().map(move |item| (item, name)))
-            .find(|(item, _)| item.token == token)?;
-        let (target_item, target_tenant) = target;
-        let mut ahead = 0;
-        for (name, tq) in &self.tenants {
-            for item in &tq.q {
-                if (item.finish, name.as_str()) < (target_item.finish, target_tenant.as_str()) {
-                    ahead += 1;
-                }
-            }
-        }
-        Some(ahead)
-    }
 }
 
 #[cfg(test)]
@@ -394,10 +371,10 @@ mod tests {
         // `a` arrives now: it is next-ish (competes from the current
         // clock), not owed 40 back-dispatches.
         q.push("a", Class::Interactive, 999, "a");
-        let pos = q.dispatch_position(999).unwrap();
+        let rest: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
+        let pos = rest.iter().position(|&p| p == "a").unwrap();
         assert!(pos <= 1, "idle tenant competes from now, pos {pos}");
         // And conversely `b`'s remaining backlog still drains.
-        let rest: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(rest.len(), 11);
     }
 

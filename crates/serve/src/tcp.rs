@@ -271,18 +271,6 @@ pub fn read_frame_into(
     })
 }
 
-/// [`read_frame_into`] with a throwaway buffer — for callers that treat a
-/// timeout as fatal for the connection (serve reaper, router round trips),
-/// where discarding a stalled half-frame is the intended behaviour.
-///
-/// # Errors
-///
-/// See [`read_frame_into`].
-pub fn read_frame(r: &mut impl BufRead, max: usize) -> io::Result<FrameRead> {
-    let mut buf = Vec::new();
-    read_frame_into(r, &mut buf, max)
-}
-
 /// Writes one whole response frame: loops until every byte is accepted,
 /// retrying `EINTR` (`ErrorKind::Interrupted`) on both the writes and
 /// the flush — a short write must never truncate a frame mid-line, or
@@ -350,20 +338,6 @@ pub fn serve_lines(
         }
     }
     Ok(())
-}
-
-/// The compile daemon's entry point (kept for source compatibility):
-/// [`serve_lines`] over the server itself.
-///
-/// # Errors
-///
-/// See [`serve_lines`].
-pub fn serve(
-    server: Arc<Server>,
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-) -> io::Result<()> {
-    serve_lines(server, listener, stop)
 }
 
 /// One connection. The first inbound byte picks the protocol: the v2
@@ -643,7 +617,7 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let s2 = Arc::clone(&server);
         let stop2 = Arc::clone(&stop);
-        std::thread::spawn(move || serve(s2, listener, stop2).unwrap());
+        std::thread::spawn(move || serve_lines(s2, listener, stop2).unwrap());
         (server, addr, stop)
     }
 
@@ -756,15 +730,16 @@ mod tests {
             pos: 0,
             interrupt_next: true,
         });
-        match read_frame(&mut r, 1024).unwrap() {
+        let mut buf = Vec::new();
+        match read_frame_into(&mut r, &mut buf, 1024).unwrap() {
             FrameRead::Frame(f) => assert_eq!(f, "{\"op\":\"ping\"}\n"),
             other => panic!("wrong read: {other:?}"),
         }
-        match read_frame(&mut r, 1024).unwrap() {
+        match read_frame_into(&mut r, &mut buf, 1024).unwrap() {
             FrameRead::Frame(f) => assert_eq!(f, "{\"op\":\"stats\"}\n"),
             other => panic!("wrong read: {other:?}"),
         }
-        assert!(matches!(read_frame(&mut r, 1024).unwrap(), FrameRead::Eof));
+        assert!(matches!(read_frame_into(&mut r, &mut buf, 1024).unwrap(), FrameRead::Eof));
     }
 
     #[test]
@@ -772,14 +747,16 @@ mod tests {
         let mut data = vec![b'a'; 100];
         data.extend_from_slice(b"\n{\"op\":\"ping\"}\n");
         let mut r = BufReader::new(io::Cursor::new(data));
-        assert!(matches!(read_frame(&mut r, 64).unwrap(), FrameRead::Oversized));
+        let mut buf = Vec::new();
+        assert!(matches!(read_frame_into(&mut r, &mut buf, 64).unwrap(), FrameRead::Oversized));
     }
 
     #[test]
     fn read_frame_discards_torn_trailing_frame() {
         let mut r = BufReader::new(io::Cursor::new(b"{\"op\":\"ping\"}\n{\"op\":\"st".to_vec()));
-        assert!(matches!(read_frame(&mut r, 1024).unwrap(), FrameRead::Frame(_)));
-        assert!(matches!(read_frame(&mut r, 1024).unwrap(), FrameRead::Eof));
+        let mut buf = Vec::new();
+        assert!(matches!(read_frame_into(&mut r, &mut buf, 1024).unwrap(), FrameRead::Frame(_)));
+        assert!(matches!(read_frame_into(&mut r, &mut buf, 1024).unwrap(), FrameRead::Eof));
     }
 
     #[test]

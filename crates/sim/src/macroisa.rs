@@ -10,10 +10,8 @@
 //!
 //! Instruction format: `oooo aaaaaaaaaaaa` — 4-bit opcode, 12-bit operand.
 
-use serde::{Deserialize, Serialize};
-
 /// MAC-1 opcodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum MacroOp {
     /// Stop.
@@ -43,7 +41,7 @@ pub enum MacroOp {
 }
 
 /// One assembled MAC-1 instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MacroInstr {
     /// The operation.
     pub op: MacroOp,

@@ -207,6 +207,8 @@ struct Parser<'a, 'm> {
     m: &'m MachineDesc,
     b: FuncBuilder,
     places: HashMap<String, Place>,
+    /// Names in the order their declarations first bound them.
+    declared: Vec<String>,
     cogroups: Vec<BlockId>,
     /// Verification state.
     asserts: Vec<AssertInfo>,
@@ -225,6 +227,13 @@ struct Parser<'a, 'm> {
 }
 
 impl<'a, 'm> Parser<'a, 'm> {
+    /// Binds `name` to `place`, keeping the order of first declarations.
+    fn declare(&mut self, name: String, place: Place) {
+        if self.places.insert(name.clone(), place).is_none() {
+            self.declared.push(name);
+        }
+    }
+
     fn diag(&self, msg: impl Into<String>) -> Diagnostic {
         Diagnostic::new(msg, self.lx.span)
     }
@@ -314,7 +323,7 @@ impl<'a, 'm> Parser<'a, 'm> {
             self.expect_sym("=")?;
             let v = self.number()?;
             self.expect_sym(";")?;
-            self.places.insert(name, Place::Const(v));
+            self.declare(name, Place::Const(v));
             return Ok(());
         }
         if self.kw("syn")? {
@@ -332,7 +341,7 @@ impl<'a, 'm> Parser<'a, 'm> {
                         .cloned()
                         .ok_or_else(|| self.diag(format!("unknown object `{target}`")))?
                 };
-                self.places.insert(name, place);
+                self.declare(name, place);
                 if !self.sym(",")? {
                     break;
                 }
@@ -374,7 +383,7 @@ impl<'a, 'm> Parser<'a, 'm> {
             } else {
                 Place::Reg(Operand::Vreg(self.b.vreg()))
             };
-            self.places.insert(name.to_string(), place);
+            self.declare(name.to_string(), place);
             return Ok(());
         }
         if self.kw("array")? {
@@ -397,8 +406,7 @@ impl<'a, 'm> Parser<'a, 'm> {
                 if base.checked_add(len).is_none() {
                     return Err(self.diag("array extends past the address space"));
                 }
-                self.places
-                    .insert(name.to_string(), Place::MemArray { base, len });
+                self.declare(name.to_string(), Place::MemArray { base, len });
             } else {
                 let fname = self.ident()?;
                 let fid = self
@@ -410,7 +418,7 @@ impl<'a, 'm> Parser<'a, 'm> {
                         "array `{name}` does not fit file `{fname}`"
                     )));
                 }
-                self.places.insert(
+                self.declare(
                     name.to_string(),
                     Place::RegArray {
                         file: fid,
@@ -448,7 +456,7 @@ impl<'a, 'm> Parser<'a, 'm> {
                 .m
                 .resolve_reg_name(&target)
                 .ok_or_else(|| self.diag(format!("`{target}` is not a register")))?;
-            self.places.insert(
+            self.declare(
                 name.to_string(),
                 Place::Tuple {
                     reg: Operand::Reg(r),
@@ -479,8 +487,7 @@ impl<'a, 'm> Parser<'a, 'm> {
             };
             let base = self.next_mem;
             self.next_mem += cap;
-            self.places
-                .insert(name.to_string(), Place::Stack { base, cap, ptr });
+            self.declare(name.to_string(), Place::Stack { base, cap, ptr });
             // The stack pointer starts at 0 (empty).
             self.b.ldi(ptr, 0);
             return Ok(());
@@ -1322,6 +1329,7 @@ pub fn parse_with_limits(
         m,
         b: FuncBuilder::new("sstar"),
         places: HashMap::new(),
+        declared: Vec::new(),
         cogroups: Vec::new(),
         asserts: Vec::new(),
         seg: Some(Vec::new()),
@@ -1364,8 +1372,8 @@ pub fn parse_with_limits(
 
     // Observability: every register-bound variable plus the assert flag.
     let mut vars = HashMap::new();
-    for (n, place) in &p.places {
-        match place {
+    for n in &p.declared {
+        match &p.places[n] {
             Place::Reg(r) => {
                 vars.insert(n.clone(), *r);
                 p.b.mark_live_out(*r);

@@ -8,10 +8,8 @@
 //! those observations become *checkable assertions* and the comparison
 //! matrix becomes a generated artifact (experiment E8).
 
-use serde::{Deserialize, Serialize};
-
 /// How a language treats primitive operations (§2.1.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrimitiveStyle {
     /// A fixed machine-independent set (SIMPL, YALLL).
     FixedSet,
@@ -22,7 +20,7 @@ pub enum PrimitiveStyle {
 }
 
 /// How variables relate to machine registers (§2.1.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VariableView {
     /// Each variable *is* a specific machine register.
     Registers,
@@ -33,7 +31,7 @@ pub enum VariableView {
 }
 
 /// Who composes microinstructions (§2.1.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parallelism {
     /// Fully sequential source; the compiler packs.
     CompilerImplicit,
@@ -42,7 +40,7 @@ pub enum Parallelism {
 }
 
 /// Implementation status as reported by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ImplStatus {
     /// A working compiler existed.
     Implemented,
@@ -53,7 +51,7 @@ pub enum ImplStatus {
 }
 
 /// One surveyed language, scored on the §2.1 design issues.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Language {
     /// Name as the survey gives it.
     pub name: &'static str,

@@ -64,6 +64,8 @@ struct Lower<'m> {
     m: &'m MachineDesc,
     b: FuncBuilder,
     names: HashMap<String, Operand>,
+    /// Bound names in the order `reg` first declared them.
+    declared: Vec<String>,
     labels: HashMap<String, u32>,
     /// Labels that have been *defined* (jumped-into blocks switched to).
     defined: HashMap<String, bool>,
@@ -170,6 +172,7 @@ pub fn parse_with_limits(
         m,
         b: FuncBuilder::new("yalll"),
         names: HashMap::new(),
+        declared: Vec::new(),
         labels: HashMap::new(),
         defined: HashMap::new(),
         exited: false,
@@ -235,7 +238,10 @@ pub fn parse_with_limits(
                     ),
                     None => Operand::Vreg(lower.b.vreg()),
                 };
-                lower.names.insert(name.to_ascii_lowercase(), op);
+                let name = name.to_ascii_lowercase();
+                if lower.names.insert(name.clone(), op).is_none() {
+                    lower.declared.push(name);
+                }
             }
             "move" | "const" | "add" | "sub" | "and" | "or" | "xor" | "inc" | "dec" | "not"
             | "neg" | "shl" | "shr" | "sar" | "rol" | "ror" | "load" | "stor" => {
@@ -335,15 +341,23 @@ pub fn parse_with_limits(
     if !lower.exited {
         lower.b.terminate(Term::Halt);
     }
-    for (lab, defined) in &lower.defined {
-        if !defined {
-            return Err(err(format!("label `{lab}` is referenced but never defined"), src.len()));
-        }
+    // Blocks are numbered in order of first mention, so the smallest
+    // names the undefined label the source references first.
+    let undefined = lower
+        .defined
+        .iter()
+        .filter(|&(_, &defined)| !defined)
+        .min_by_key(|&(lab, _)| lower.labels[lab]);
+    if let Some((lab, _)) = undefined {
+        return Err(err(
+            format!("label `{lab}` is referenced but never defined"),
+            src.len(),
+        ));
     }
     // Every bound register is observable.
     let bindings = lower.names.clone();
-    for op in lower.names.values() {
-        lower.b.mark_live_out(*op);
+    for name in &lower.declared {
+        lower.b.mark_live_out(lower.names[name]);
     }
     let func = lower.b.finish();
     func.validate()
@@ -531,6 +545,20 @@ low: exit x
         let m = hm1();
         let e = parse("jump nowhere\n", &m).unwrap_err();
         assert!(e.message.contains("never defined"));
+    }
+
+    #[test]
+    fn first_referenced_undefined_label_is_reported() {
+        let m = hm1();
+        let src = "reg a = R0\njump alpha if a = 1\njump beta if a = 2\njump gamma\n";
+        let messages: std::collections::BTreeSet<String> = (0..50)
+            .map(|_| parse(src, &m).unwrap_err().message)
+            .collect();
+        assert_eq!(messages.len(), 1, "{messages:?}");
+        assert!(
+            messages.iter().all(|msg| msg.contains("`alpha`")),
+            "{messages:?}"
+        );
     }
 
     #[test]

@@ -446,15 +446,8 @@ fn compiler_of(args: &Args) -> Result<Compiler, String> {
     let machine = machine_of(args)?;
     let mut opts = CompilerOptions::default();
     if let Some(algo) = &args.algo {
-        opts.algorithm = match algo.as_str() {
-            "linear" => Algorithm::Linear,
-            "critpath" => Algorithm::CriticalPath,
-            "levelpack" => Algorithm::LevelPack,
-            "tokoro" => Algorithm::Tokoro,
-            "optimal" => Algorithm::BranchBound,
-            "sequential" => Algorithm::Sequential,
-            other => return Err(format!("unknown algorithm `{other}`")),
-        };
+        opts.algorithm =
+            Algorithm::from_name(algo).ok_or_else(|| format!("unknown algorithm `{algo}`"))?;
     }
     if args.coarse {
         opts.model = ConflictModel::Coarse;
@@ -748,7 +741,6 @@ fn serve_command(args: &Args) -> Result<(), String> {
         tenant_weights,
         tenant_quota: args.tenant_quota.unwrap_or(0),
         trace_path: args.trace.as_ref().map(std::path::PathBuf::from),
-        ..mcc::serve::ServeConfig::default()
     };
     let port = args.port.unwrap_or(7077);
     let listener = std::net::TcpListener::bind(("127.0.0.1", port))
@@ -762,7 +754,7 @@ fn serve_command(args: &Args) -> Result<(), String> {
         "mcc serve: listening on {addr} ({workers} workers, queue bound {bound}); \
          stop with SIGTERM/SIGINT or a drain frame"
     );
-    mcc::serve::tcp::serve(Arc::clone(&server), listener, stop).map_err(|e| e.to_string())?;
+    mcc::serve::tcp::serve_lines(server.clone(), listener, stop).map_err(|e| e.to_string())?;
     let in_flight = server.drain();
     eprintln!("mcc serve: drained ({in_flight} requests were in flight); cache journal flushed");
     Ok(())

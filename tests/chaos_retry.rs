@@ -26,7 +26,7 @@ fn reset_after_execution_is_replayed_not_reexecuted() {
     let acceptor = {
         let (server, stop) = (Arc::clone(&server), Arc::clone(&stop));
         std::thread::spawn(move || {
-            let _ = tcp::serve(server, listener, stop);
+            let _ = tcp::serve_lines(server, listener, stop);
         })
     };
 

@@ -2,7 +2,7 @@
 //! --chaos-soak` must pass its own gates (zero drops, rejoin after
 //! every kill, quarantine of the sabotaged shard) AND print a stdout
 //! that is a pure function of the seed — byte-identical across client
-//! and worker counts, which is exactly what the CI job diffs.
+//! and worker counts.
 //!
 //! Single `#[test]` on purpose: each soak run owns a supervised fleet
 //! of child processes. The first run's stdout is also pinned as
@@ -78,6 +78,7 @@ fn chaos_soak_passes_its_gates_with_seed_determined_stdout() {
     // The report carries the soak shape and the quarantine outcome.
     let report = std::fs::read_to_string(&json).expect("JSON report written");
     assert!(report.contains("\"mode\":\"chaos-soak\""), "report mode:\n{report}");
+    assert!(report.contains("\"dropped\":0"), "report drops nothing:\n{report}");
     assert!(report.contains("\"quarantined\":[\"bx\"]"), "report quarantine:\n{report}");
     assert!(report.contains("\"p99_inflation_pct\":"), "report p99 inflation:\n{report}");
 

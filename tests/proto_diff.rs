@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use mcc::serve::proto::{self, Response};
 use mcc::serve::proto2::{Caps, Client, FrameType, Handshake};
-use mcc::serve::tcp::serve;
+use mcc::serve::tcp::serve_lines;
 use mcc::serve::{ServeConfig, Server};
 
 const K: usize = 12;
@@ -32,7 +32,7 @@ fn start_server() -> (Arc<Server>, std::net::SocketAddr, Arc<AtomicBool>) {
     let addr = listener.local_addr().unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let (s2, stop2) = (Arc::clone(&server), Arc::clone(&stop));
-    std::thread::spawn(move || serve(s2, listener, stop2).unwrap());
+    std::thread::spawn(move || serve_lines(s2, listener, stop2).unwrap());
     (server, addr, stop)
 }
 

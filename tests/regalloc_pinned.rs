@@ -9,9 +9,8 @@
 //! sixteen allocations. A change to the allocator's internals that alters
 //! any allocation, spills included, fails here and names the pair.
 //!
-//! The YALLL frontend lists `live_out` in hash order, which differs from
-//! run to run; allocation reads it as a set, so the digest renders it
-//! sorted.
+//! The frontends list `live_out` in declaration order; allocation reads
+//! it as a set, so the digest renders it sorted.
 
 use mcc_bench::kernels::{suite, Kernel, Lang};
 use mcc_core::CompilerOptions;

@@ -9,8 +9,8 @@
 //! Single `#[test]` on purpose: the run is ~1s of wall clock and the
 //! second half re-runs the identical schedule under a different client
 //! count to assert the stdout contract (byte-identical across
-//! `--clients` / `--jobs`) that CI also diffs. The first run's stdout
-//! is also pinned as `tests/golden/bench_serve/kill.txt`.
+//! `--clients` / `--jobs`). The first run's stdout is also pinned as
+//! `tests/golden/bench_serve/kill.txt`.
 
 mod common;
 
