@@ -110,9 +110,6 @@ const SUPERVISOR_TICK: Duration = Duration::from_millis(2);
 /// keys the server remembers for exactly-once retries.
 const DEDUP_WINDOW: usize = 4096;
 
-/// WFQ weight for tenants not named in [`ServeConfig::tenant_weights`].
-const DEFAULT_WEIGHT: u32 = 1;
-
 /// What a worker returns for one compile request.
 type CompileResult = Result<CompileOk, String>;
 
@@ -362,7 +359,7 @@ impl Server {
             limiter: RateLimiter::new(cfg.rate_per_client),
             dedup: DedupWindow::new(DEDUP_WINDOW),
             qos: Mutex::new(QosState {
-                wfq: WfqQueue::new(DEFAULT_WEIGHT, &cfg.tenant_weights),
+                wfq: WfqQueue::new(&cfg.tenant_weights),
                 dispatched: 0,
             }),
             metrics: metrics::QosMetrics::default(),

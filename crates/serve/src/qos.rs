@@ -64,6 +64,9 @@ const SCALE: u64 = 1 << 20;
 /// away from zero so finish tags always advance.
 pub const MAX_WEIGHT: u32 = 1 << 16;
 
+/// The weight of a tenant that the configured weights do not name.
+const DEFAULT_WEIGHT: u32 = 1;
+
 /// A request's priority class. Order matters: the discriminant indexes
 /// per-class counter arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -158,19 +161,17 @@ struct TenantQ<T> {
 /// the whole schedule) deterministic across runs and platforms.
 pub struct WfqQueue<T> {
     vtime: u64,
-    default_weight: u32,
     weights: BTreeMap<String, u32>,
     tenants: BTreeMap<String, TenantQ<T>>,
     len: usize,
 }
 
 impl<T> WfqQueue<T> {
-    /// An empty queue. `default_weight` applies to tenants not named in
-    /// `weights`; both are clamped to `1..=MAX_WEIGHT`.
-    pub fn new(default_weight: u32, weights: &[(String, u32)]) -> WfqQueue<T> {
+    /// An empty queue. Tenants not named in `weights` get
+    /// `DEFAULT_WEIGHT`; named weights are clamped to `1..=MAX_WEIGHT`.
+    pub fn new(weights: &[(String, u32)]) -> WfqQueue<T> {
         WfqQueue {
             vtime: 0,
-            default_weight: default_weight.clamp(1, MAX_WEIGHT),
             weights: weights
                 .iter()
                 .map(|(t, w)| (t.clone(), (*w).clamp(1, MAX_WEIGHT)))
@@ -182,7 +183,7 @@ impl<T> WfqQueue<T> {
 
     /// The configured weight for `tenant`.
     pub fn weight_of(&self, tenant: &str) -> u32 {
-        self.weights.get(tenant).copied().unwrap_or(self.default_weight)
+        self.weights.get(tenant).copied().unwrap_or(DEFAULT_WEIGHT)
     }
 
     /// Queued (not yet dispatched) jobs across all tenants.
@@ -310,7 +311,7 @@ mod tests {
 
     #[test]
     fn equal_weights_round_robin() {
-        let mut q: WfqQueue<&str> = WfqQueue::new(1, &[]);
+        let mut q: WfqQueue<&str> = WfqQueue::new(&[]);
         for i in 0..3 {
             q.push("a", Class::Interactive, i, "a");
             q.push("b", Class::Interactive, 10 + i, "b");
@@ -323,7 +324,7 @@ mod tests {
     fn weights_skew_the_interleave() {
         // Weight 2 vs 1, both backlogged: the heavy tenant gets two
         // dispatches per light dispatch.
-        let mut q: WfqQueue<&str> = WfqQueue::new(1, &[("heavy".to_string(), 2)]);
+        let mut q: WfqQueue<&str> = WfqQueue::new(&[("heavy".to_string(), 2)]);
         for i in 0..8 {
             q.push("heavy", Class::Interactive, i, "h");
             q.push("light", Class::Interactive, 100 + i, "l");
@@ -338,7 +339,7 @@ mod tests {
     fn class_cost_throttles_within_equal_weights() {
         // Same weight, interactive vs background backlog: cost 1 vs 4
         // gives the interactive tenant 4 dispatches per background one.
-        let mut q: WfqQueue<&str> = WfqQueue::new(1, &[]);
+        let mut q: WfqQueue<&str> = WfqQueue::new(&[]);
         for i in 0..10 {
             q.push("fg", Class::Interactive, i, "fg");
             q.push("bg", Class::Background, 100 + i, "bg");
@@ -350,7 +351,7 @@ mod tests {
 
     #[test]
     fn within_tenant_order_is_fifo_even_across_classes() {
-        let mut q: WfqQueue<u32> = WfqQueue::new(1, &[]);
+        let mut q: WfqQueue<u32> = WfqQueue::new(&[]);
         q.push("t", Class::Background, 1, 1);
         q.push("t", Class::Interactive, 2, 2);
         q.push("t", Class::Interactive, 3, 3);
@@ -360,7 +361,7 @@ mod tests {
 
     #[test]
     fn idle_tenant_earns_no_credit() {
-        let mut q: WfqQueue<&str> = WfqQueue::new(1, &[]);
+        let mut q: WfqQueue<&str> = WfqQueue::new(&[]);
         // `b` floods and is served for a while; `a` was idle throughout.
         for i in 0..50 {
             q.push("b", Class::Interactive, i, "b");
@@ -380,7 +381,7 @@ mod tests {
 
     #[test]
     fn remove_unqueues_only_queued_tokens() {
-        let mut q: WfqQueue<&str> = WfqQueue::new(1, &[]);
+        let mut q: WfqQueue<&str> = WfqQueue::new(&[]);
         q.push("t", Class::Interactive, 1, "x");
         q.push("t", Class::Interactive, 2, "y");
         let (tok, _) = q.pop().unwrap();

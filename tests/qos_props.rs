@@ -32,7 +32,7 @@ fn queue(weights: &[u32]) -> WfqQueue<usize> {
         .enumerate()
         .map(|(i, w)| (format!("t{i}"), *w))
         .collect();
-    WfqQueue::new(1, &named)
+    WfqQueue::new(&named)
 }
 
 proptest! {
