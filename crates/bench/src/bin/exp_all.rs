@@ -18,13 +18,9 @@
 //!   MCC_NO_CACHE        disable caching
 //! ```
 
+use mcc_bench::campaign as bc;
 use mcc_bench::experiments as ex;
 use mcc_harness::{run_campaign, HarnessConfig, Job, JobStatus};
-
-const E9_TITLE: &str =
-    "E9: fault-injection dependability - raw vs parity-protected control store";
-const E10_TITLE: &str =
-    "E10: differential fuzzing robustness - findings per class, all machines";
 
 fn env_num<T: std::str::FromStr>(name: &str, default: T) -> T {
     std::env::var(name)
@@ -84,16 +80,16 @@ fn main() {
     let e9_trials: usize = env_num("EXP_ALL_E9_TRIALS", 1000);
     let e10_trials: u64 = env_num("EXP_ALL_E10_TRIALS", 250);
 
+    // One campaign: a job per golden table, then E9's and E10's own job
+    // lists, whose rows assemble into their tables after the run.
     let mut jobs: Vec<Job> = ex::GOLDEN_TABLES
         .iter()
         .map(|&(id, title, f)| Job::new(id, id, move || Ok(vec![f().render(title)])))
         .collect();
-    jobs.push(Job::new("E9", "E9", move || {
-        Ok(vec![ex::e9_with(e9_trials).render(E9_TITLE)])
-    }));
-    jobs.push(Job::new("E10", "E10", move || {
-        Ok(vec![ex::e10_with(e10_trials).render(E10_TITLE)])
-    }));
+    let golden = jobs.len();
+    jobs.extend(bc::e9_jobs(e9_trials));
+    let e9_end = jobs.len();
+    jobs.extend(bc::e10_jobs(e10_trials));
 
     let cfg = HarnessConfig::batch("exp_all", workers);
     let journal = std::env::temp_dir().join(format!("mcc-exp-all-{}.jsonl", std::process::id()));
@@ -104,14 +100,19 @@ fn main() {
     let _ = std::fs::remove_file(&journal);
 
     let mut failed = false;
-    for o in &report.outcomes {
+    for (i, o) in report.outcomes.iter().enumerate() {
         if o.status == JobStatus::Ok {
-            print!("{}", o.cells[0]);
+            if i < golden {
+                print!("{}", o.cells[0]);
+            }
         } else {
             failed = true;
             eprintln!("exp_all: {} failed: {}", o.id, o.error);
         }
     }
+    let (e9, e10) = report.outcomes[golden..].split_at(e9_end - golden);
+    print!("{}", bc::e9_table(e9, e9_trials).render(bc::E9_TITLE));
+    print!("{}", bc::e10_table(e10, e10_trials).render(bc::E10_TITLE));
 
     mcc_cache::flush_global_stats();
     let n = mcc_cache::global().counters();

@@ -1,9 +1,8 @@
 //! Regenerates experiment E10's table (see EXPERIMENTS.md).
 //!
 //! Runs through the supervised campaign harness (`mcc-harness`): the same
-//! table `mcc campaign e10` produces, byte-identical to the direct
-//! `experiments::e10()` path regardless of worker count. Set `MCC_JOBS` to
-//! change the worker-pool size (default 4).
+//! table `mcc campaign e10` produces, byte-identical for any worker
+//! count. Set `MCC_JOBS` to change the worker-pool size (default 4).
 
 use mcc_harness::{run_campaign, HarnessConfig};
 
@@ -23,7 +22,7 @@ fn main() {
     let report = run_campaign(mcc_bench::campaign::e10_jobs(trials), &cfg, &journal, false)
         .expect("E10 campaign failed");
     mcc_bench::campaign::e10_table(&report.outcomes, trials)
-        .print("E10: differential fuzzing robustness - findings per class, all machines");
+        .print(mcc_bench::campaign::E10_TITLE);
     eprintln!("{}", report.summary());
     mcc_cache::flush_global_stats();
 }

@@ -1,9 +1,8 @@
 //! Regenerates experiment E9's table (see EXPERIMENTS.md).
 //!
 //! Runs through the supervised campaign harness (`mcc-harness`): the same
-//! table `mcc campaign e9` produces, byte-identical to the direct
-//! `experiments::e9()` path regardless of worker count. Set `MCC_JOBS` to
-//! change the worker-pool size (default 4).
+//! table `mcc campaign e9` produces, byte-identical for any worker
+//! count. Set `MCC_JOBS` to change the worker-pool size (default 4).
 
 use mcc_harness::{run_campaign, HarnessConfig};
 
@@ -23,7 +22,7 @@ fn main() {
     let report = run_campaign(mcc_bench::campaign::e9_jobs(trials), &cfg, &journal, false)
         .expect("E9 campaign failed");
     mcc_bench::campaign::e9_table(&report.outcomes, trials)
-        .print("E9: fault-injection dependability - raw vs parity-protected control store");
+        .print(mcc_bench::campaign::E9_TITLE);
     eprintln!("{}", report.summary());
     mcc_cache::flush_global_stats();
 }
