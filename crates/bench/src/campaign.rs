@@ -12,17 +12,12 @@
 
 use mcc_fuzz::{fuzz_range, FuzzConfig, SourceLang};
 use mcc_harness::{Job, JobOutcome, JobStatus};
-use mcc_machine::machines::{bx2, hm1, vm1, wm64};
-use mcc_machine::MachineDesc;
+use mcc_machine::{machines, MachineDesc};
 
 use crate::experiments::{
     e10_header, e10_notes, e10_row, e9_campaign, e9_compiler, e9_header, e9_notes, e9_row, Table,
 };
 use crate::kernels::suite;
-
-/// The E10 reference machines, by constructor so job closures stay
-/// `Send + Sync` without sharing a `MachineDesc`.
-const MACHINES: [fn() -> MachineDesc; 4] = [hm1, vm1, bx2, wm64];
 
 /// A degraded table row: the label plus a `-` per data column, so a
 /// failed or breaker-skipped job stays *visible* in the table instead of
@@ -127,12 +122,11 @@ pub const E10_TITLE: &str =
 /// breaker exists to contain.
 pub fn e10_jobs(trials: u64) -> Vec<Job> {
     let mut jobs = Vec::new();
-    for (mi, mk) in MACHINES.iter().enumerate() {
-        let name = mk().name;
+    for m in machines::all() {
         for lang in SourceLang::ALL {
-            let id = format!("e10/{name}/{}", lang.name());
+            let id = format!("e10/{}/{}", m.name, lang.name());
+            let m = m.clone();
             jobs.push(Job::new(id, lang.name(), move || {
-                let m = MACHINES[mi]();
                 let report = fuzz_range(
                     &FuzzConfig {
                         seed: 1,
@@ -189,26 +183,21 @@ pub const FUZZ_CHUNK: u64 = 25;
 /// window small so progress journals frequently. Relies on
 /// [`mcc_fuzz::fuzz_range`]'s per-trial RNG: chunked counts sum to
 /// exactly the unchunked campaign's.
-pub fn fuzz_jobs(seed: u64, trials: u64, machine_name: &str) -> Vec<Job> {
-    let mk: fn() -> MachineDesc = match machine_name {
-        "vm1" => vm1,
-        "bx2" => bx2,
-        "wm64" => wm64,
-        _ => hm1,
-    };
+pub fn fuzz_jobs(seed: u64, trials: u64, machine: &MachineDesc) -> Vec<Job> {
     let mut jobs = Vec::new();
     for lang in SourceLang::ALL {
         let mut lo = 0u64;
         while lo < trials {
             let hi = (lo + FUZZ_CHUNK).min(trials);
             let id = format!("fuzz/{}/{lo}..{hi}", lang.name());
+            let m = machine.clone();
             jobs.push(Job::new(id, lang.name(), move || {
                 let report = fuzz_range(
                     &FuzzConfig {
                         seed,
                         trials,
                         langs: vec![lang],
-                        machine: mk(),
+                        machine: m.clone(),
                         ..FuzzConfig::default()
                     },
                     lo,
@@ -361,7 +350,7 @@ mod tests {
     #[test]
     fn fuzz_chunks_assemble_the_full_table() {
         let p = tmp("fuzz-w2");
-        let jobs = fuzz_jobs(1, 30, "hm1");
+        let jobs = fuzz_jobs(1, 30, &machines::hm1());
         assert_eq!(jobs.len(), 4 * 2, "30 trials chunk into two jobs per frontend");
         let r = run_campaign(jobs, &hcfg("fuzz", 2), &p, false).unwrap();
         let t = fuzz_table(&r.outcomes, 1, 30);

@@ -229,6 +229,18 @@ thread_local! {
     static CURRENT_PASS: Cell<&'static str> = const { Cell::new("frontend") };
 }
 
+/// What [`Compiler::compile_source`] takes from a frontend beside the
+/// lowered function.
+#[derive(Default)]
+struct Names {
+    /// Named operands that become artifact symbols, attached in order.
+    symbols: Vec<(String, mcc_mir::Operand)>,
+    /// Memory-resident arrays: name → (base address, length).
+    memory: HashMap<String, (u64, u64)>,
+    /// S\* `cobegin` blocks, each of which must fit one microinstruction.
+    cogroups: Vec<mcc_mir::BlockId>,
+}
+
 fn set_pass(pass: &'static str) {
     CURRENT_PASS.with(|c| c.set(pass));
 }
@@ -560,34 +572,15 @@ impl Compiler {
         Ok(())
     }
 
-    fn attach_symbols(
-        art: &mut Artifact,
-        names: impl IntoIterator<Item = (String, mcc_mir::Operand)>,
-    ) {
-        for (name, op) in names {
-            if let Some(loc) = art.locate(op) {
-                art.symbols.insert(name, loc);
-            }
-        }
-    }
-
     /// Compiles a SIMPL program (§2.2.1 of the survey).
     ///
     /// SIMPL variables are machine registers, so symbols resolve directly.
     ///
     /// # Errors
     ///
-    /// See [`CompileError`]; frontend diagnostics arrive as
-    /// [`CompileError::Language`] with line/column prefixes.
+    /// See [`compile_source`](Self::compile_source).
     pub fn compile_simpl(&self, src: &str) -> Result<Artifact, CompileError> {
-        set_pass("frontend");
-        let t = std::time::Instant::now();
-        let p = mcc_simpl::parse_with_limits(src, &self.machine, &self.options.limits.frontend)
-            .map_err(|e| CompileError::Language(e.render_excerpt(src)))?;
-        let fe = t.elapsed().as_nanos() as u64;
-        let mut art = self.compile_mir(p.func)?;
-        art.stats.pass_nanos.insert(0, ("frontend", fe));
-        Ok(art)
+        self.compile_source(SourceLang::Simpl, src)
     }
 
     /// Compiles a YALLL program (§2.2.4). Declared register names become
@@ -595,18 +588,9 @@ impl Compiler {
     ///
     /// # Errors
     ///
-    /// See [`CompileError`].
+    /// See [`compile_source`](Self::compile_source).
     pub fn compile_yalll(&self, src: &str) -> Result<Artifact, CompileError> {
-        set_pass("frontend");
-        let t = std::time::Instant::now();
-        let p = mcc_yalll::parse_with_limits(src, &self.machine, &self.options.limits.frontend)
-            .map_err(|e| CompileError::Language(e.render_excerpt(src)))?;
-        let fe = t.elapsed().as_nanos() as u64;
-        let bindings = p.bindings.clone();
-        let mut art = self.compile_mir(p.func)?;
-        art.stats.pass_nanos.insert(0, ("frontend", fe));
-        Self::attach_symbols(&mut art, bindings);
-        Ok(art)
+        self.compile_source(SourceLang::Yalll, src)
     }
 
     /// Compiles an EMPL program (§2.2.2). Global variables (including type
@@ -615,22 +599,9 @@ impl Compiler {
     ///
     /// # Errors
     ///
-    /// See [`CompileError`].
+    /// See [`compile_source`](Self::compile_source).
     pub fn compile_empl(&self, src: &str) -> Result<Artifact, CompileError> {
-        set_pass("frontend");
-        let t = std::time::Instant::now();
-        let p = mcc_empl::compile_with_limits(src, &self.options.limits.frontend)
-            .map_err(|e| CompileError::Language(e.render_excerpt(src)))?;
-        let fe = t.elapsed().as_nanos() as u64;
-        let globals = p.globals.clone();
-        let arrays = p.arrays.clone();
-        let eflag = p.error_flag;
-        let mut art = self.compile_mir(p.func)?;
-        art.stats.pass_nanos.insert(0, ("frontend", fe));
-        Self::attach_symbols(&mut art, globals);
-        Self::attach_symbols(&mut art, [("ERROR".to_string(), eflag)]);
-        art.memory_symbols = arrays;
-        Ok(art)
+        self.compile_source(SourceLang::Empl, src)
     }
 
     /// Compiles an S\* program (§2.2.3) and *verifies the explicit
@@ -642,20 +613,48 @@ impl Compiler {
     ///
     /// # Errors
     ///
-    /// See [`CompileError`]; an unschedulable `cobegin` is reported as
-    /// [`CompileError::Language`].
+    /// See [`compile_source`](Self::compile_source).
     pub fn compile_sstar(&self, src: &str) -> Result<Artifact, CompileError> {
+        self.compile_source(SourceLang::Sstar, src)
+    }
+
+    /// Compiles source text in the named language: the one path from a
+    /// frontend to an artifact. The frontend's time is the `frontend`
+    /// pass, and the program's named operands become artifact symbols.
+    ///
+    /// # Errors
+    ///
+    /// See [`CompileError`]; frontend diagnostics arrive as
+    /// [`CompileError::Language`] with line/column prefixes, and so does
+    /// an S\* `cobegin` group that needs more than one microinstruction.
+    pub fn compile_source(&self, lang: SourceLang, src: &str) -> Result<Artifact, CompileError> {
         set_pass("frontend");
         let t = std::time::Instant::now();
-        let p = mcc_sstar::parse_with_limits(src, &self.machine, &self.options.limits.frontend)
-            .map_err(|e| CompileError::Language(e.render_excerpt(src)))?;
+        let (m, limits) = (&*self.machine, &self.options.limits.frontend);
+        let lowered = match lang {
+            SourceLang::Simpl => {
+                mcc_simpl::parse_with_limits(src, m, limits).map(|p| (p.func, Names::default()))
+            }
+            SourceLang::Yalll => mcc_yalll::parse_with_limits(src, m, limits).map(|p| {
+                let symbols = p.bindings.into_iter().collect();
+                (p.func, Names { symbols, ..Names::default() })
+            }),
+            SourceLang::Empl => mcc_empl::compile_with_limits(src, limits).map(|p| {
+                let error = ("ERROR".to_string(), p.error_flag);
+                let symbols = p.globals.into_iter().chain([error]).collect();
+                (p.func, Names { symbols, memory: p.arrays, ..Names::default() })
+            }),
+            SourceLang::Sstar => mcc_sstar::parse_with_limits(src, m, limits).map(|p| {
+                let flag = p.assert_flag.map(|f| ("ASSERT".to_string(), f));
+                let symbols = p.vars.into_iter().chain(flag).collect();
+                (p.func, Names { symbols, cogroups: p.cogroups, ..Names::default() })
+            }),
+        };
+        let (func, names) = lowered.map_err(|e| CompileError::Language(e.render_excerpt(src)))?;
         let fe = t.elapsed().as_nanos() as u64;
-        let vars = p.vars.clone();
-        let cogroups = p.cogroups.clone();
-        let aflag = p.assert_flag;
-        let mut art = self.compile_mir(p.func)?;
+        let mut art = self.compile_mir(func)?;
         art.stats.pass_nanos.insert(0, ("frontend", fe));
-        for g in cogroups {
+        for g in names.cogroups {
             let n = art.program.blocks[g as usize].instrs.len();
             // The group block holds its ops plus an elidable jump; more
             // than one instruction means the hardware could not take the
@@ -668,25 +667,13 @@ impl Compiler {
                 )));
             }
         }
-        Self::attach_symbols(&mut art, vars);
-        if let Some(f) = aflag {
-            Self::attach_symbols(&mut art, [("ASSERT".to_string(), f)]);
+        for (name, op) in names.symbols {
+            if let Some(loc) = art.locate(op) {
+                art.symbols.insert(name, loc);
+            }
         }
+        art.memory_symbols = names.memory;
         Ok(art)
-    }
-
-    /// Compiles source text in the named language.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileError`].
-    pub fn compile_source(&self, lang: SourceLang, src: &str) -> Result<Artifact, CompileError> {
-        match lang {
-            SourceLang::Simpl => self.compile_simpl(src),
-            SourceLang::Empl => self.compile_empl(src),
-            SourceLang::Sstar => self.compile_sstar(src),
-            SourceLang::Yalll => self.compile_yalll(src),
-        }
     }
 
     /// [`compile_source`](Self::compile_source) behind a panic boundary:

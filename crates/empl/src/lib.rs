@@ -36,7 +36,7 @@ use std::collections::HashMap;
 
 use mcc_lang::{Diagnostic, FrontendLimits, Span};
 use mcc_machine::{AluOp, CondKind, ShiftOp};
-use mcc_mir::{BlockId, FuncBuilder, MirFunction, Operand, Term};
+use mcc_mir::{BlockId, FuncBuilder, MirFunction, Operand, RegOrImm, Term};
 
 pub use syntax::{
     Atom, Cond, Decl, Field, Item, Lhs, Module, OperatorDef, ProcDef, Rhs, Stmt, TypeDef,
@@ -173,25 +173,13 @@ impl<'a> Lower<'a> {
             r => (&c.a, r, &c.b),
         };
         let va = self.atom(a)?;
-        if matches!(b, Atom::Num(0)) && (rel == "=" || rel == "<>") {
-            self.b.alu_un(AluOp::Pass, va, va);
-        } else {
-            let t = Operand::Vreg(self.b.vreg());
-            match b {
-                Atom::Num(v) => self.b.alu_imm(AluOp::Sub, t, va, *v),
-                Atom::Var(n) => {
-                    let vb = self.scalar(n)?;
-                    self.b.alu(AluOp::Sub, t, va, vb);
-                }
-            }
-        }
-        Ok(match rel {
-            "=" => CondKind::Zero,
-            "<>" => CondKind::NotZero,
-            "<" => CondKind::Neg,
-            ">=" => CondKind::NotNeg,
-            other => return Err(err(format!("unknown relop `{other}`"))),
-        })
+        let vb = match b {
+            Atom::Num(v) => RegOrImm::Imm(*v),
+            Atom::Var(n) => RegOrImm::Reg(self.scalar(n)?),
+        };
+        self.b
+            .compare(va, rel, vb)
+            .ok_or_else(|| err(format!("unknown relop `{rel}`")))
     }
 
     /// Shift-add multiplication: `dst = a * b` (16-bit wrapping).
@@ -430,14 +418,7 @@ impl<'a> Lower<'a> {
             }
             Rhs::Shift(op, a, n) => {
                 let va = self.atom(a)?;
-                let sh = match op.as_str() {
-                    "SHL" => ShiftOp::Shl,
-                    "SHR" => ShiftOp::Shr,
-                    "SAR" => ShiftOp::Sar,
-                    "ROL" => ShiftOp::Rol,
-                    _ => ShiftOp::Ror,
-                };
-                self.b.shift(sh, into, va, *n);
+                self.b.shift(*op, into, va, *n);
             }
             Rhs::Bin(op, a, bb) => {
                 let va = self.atom(a)?;
@@ -451,14 +432,8 @@ impl<'a> Lower<'a> {
                         self.emit_div(into, va, vb)?;
                     }
                     _ => {
-                        let aop = match op.as_str() {
-                            "+" => AluOp::Add,
-                            "-" => AluOp::Sub,
-                            "&" => AluOp::And,
-                            "|" => AluOp::Or,
-                            "XOR" => AluOp::Xor,
-                            other => return Err(err(format!("unknown operator `{other}`"))),
-                        };
+                        let aop = FuncBuilder::alu_op(op)
+                            .ok_or_else(|| err(format!("unknown operator `{op}`")))?;
                         match bb {
                             Atom::Num(v) => self.b.alu_imm(aop, into, va, *v),
                             Atom::Var(n) => {

@@ -4,6 +4,7 @@
 //! comments, statements terminated by `;`, `DO; … END;` groups.
 
 use mcc_lang::{Case, Comments, DepthGuard, Diagnostic, FrontendLimits, Lexer, Syntax, Tok};
+use mcc_machine::ShiftOp;
 
 // ----------------------------------------------------------------- tokens --
 
@@ -32,12 +33,12 @@ pub enum Atom {
 pub enum Rhs {
     /// A bare operand.
     Atom(Atom),
-    /// `a <op> b` with `op` ∈ `+ - * / & | XOR`.
+    /// `a <op> b` with `op` ∈ `+ - * / & | ^`, `^` written `XOR`.
     Bin(String, Atom, Atom),
     /// `-a`, `NOT a`.
     Un(String, Atom),
     /// `a SHL n` etc.
-    Shift(String, Atom, u64),
+    Shift(ShiftOp, Atom, u64),
     /// `ARR(i)` — array element read.
     ArrGet(String, Atom),
     /// `OPNAME(args…)` — user operator invocation.
@@ -578,19 +579,19 @@ impl<'a> Parser<'a> {
         }
         let a = self.atom()?;
         // Shift forms: `a SHL 3`.
-        for sh in ["SHL", "SHR", "SAR", "ROL", "ROR"] {
-            if self.lx.kw(sh)? {
+        for (op, name) in ShiftOp::NAMES {
+            if self.lx.kw(name)? {
                 let n = match *self.lx.tok() {
                     Tok::Num(v) => v,
                     _ => return Err(self.lx.diag("expected shift amount")),
                 };
                 self.lx.advance()?;
-                return Ok(Rhs::Shift(sh.into(), a, n));
+                return Ok(Rhs::Shift(op, a, n));
             }
         }
         if self.lx.kw("XOR")? {
             let b = self.atom()?;
-            return Ok(Rhs::Bin("XOR".into(), a, b));
+            return Ok(Rhs::Bin("^".into(), a, b));
         }
         for op in ["+", "-", "*", "/", "&", "|"] {
             if self.lx.sym(op)? {

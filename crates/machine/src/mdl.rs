@@ -63,8 +63,8 @@ fn err(line: usize, message: impl Into<String>) -> MdlError {
 
 fn semantic_name(s: Semantic) -> String {
     match s {
-        Semantic::Alu(op) => format!("alu.{}", alu_name(op)),
-        Semantic::Shift(op) => format!("shift.{}", shift_name(op)),
+        Semantic::Alu(op) => format!("alu.{}", op.name()),
+        Semantic::Shift(op) => format!("shift.{}", op.name()),
         Semantic::Move => "move".into(),
         Semantic::LoadImm => "loadimm".into(),
         Semantic::MemRead => "memread".into(),
@@ -80,66 +80,16 @@ fn semantic_name(s: Semantic) -> String {
     }
 }
 
-fn alu_name(op: AluOp) -> &'static str {
-    match op {
-        AluOp::Add => "add",
-        AluOp::Adc => "adc",
-        AluOp::Sub => "sub",
-        AluOp::Sbb => "sbb",
-        AluOp::And => "and",
-        AluOp::Or => "or",
-        AluOp::Xor => "xor",
-        AluOp::Nand => "nand",
-        AluOp::Nor => "nor",
-        AluOp::Not => "not",
-        AluOp::Neg => "neg",
-        AluOp::Inc => "inc",
-        AluOp::Dec => "dec",
-        AluOp::Pass => "pass",
-    }
-}
-
-fn shift_name(op: ShiftOp) -> &'static str {
-    match op {
-        ShiftOp::Shl => "shl",
-        ShiftOp::Shr => "shr",
-        ShiftOp::Sar => "sar",
-        ShiftOp::Rol => "rol",
-        ShiftOp::Ror => "ror",
-    }
-}
-
 fn parse_semantic(s: &str, line: usize) -> Result<Semantic, MdlError> {
     if let Some(op) = s.strip_prefix("alu.") {
-        let op = match op {
-            "add" => AluOp::Add,
-            "adc" => AluOp::Adc,
-            "sub" => AluOp::Sub,
-            "sbb" => AluOp::Sbb,
-            "and" => AluOp::And,
-            "or" => AluOp::Or,
-            "xor" => AluOp::Xor,
-            "nand" => AluOp::Nand,
-            "nor" => AluOp::Nor,
-            "not" => AluOp::Not,
-            "neg" => AluOp::Neg,
-            "inc" => AluOp::Inc,
-            "dec" => AluOp::Dec,
-            "pass" => AluOp::Pass,
-            _ => return Err(err(line, format!("unknown alu op `{op}`"))),
-        };
-        return Ok(Semantic::Alu(op));
+        return AluOp::from_name(op)
+            .map(Semantic::Alu)
+            .ok_or_else(|| err(line, format!("unknown alu op `{op}`")));
     }
     if let Some(op) = s.strip_prefix("shift.") {
-        let op = match op {
-            "shl" => ShiftOp::Shl,
-            "shr" => ShiftOp::Shr,
-            "sar" => ShiftOp::Sar,
-            "rol" => ShiftOp::Rol,
-            "ror" => ShiftOp::Ror,
-            _ => return Err(err(line, format!("unknown shift op `{op}`"))),
-        };
-        return Ok(Semantic::Shift(op));
+        return ShiftOp::from_name(op)
+            .map(Semantic::Shift)
+            .ok_or_else(|| err(line, format!("unknown shift op `{op}`")));
     }
     Ok(match s {
         "move" => Semantic::Move,

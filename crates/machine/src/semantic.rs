@@ -41,6 +41,35 @@ pub enum AluOp {
 }
 
 impl AluOp {
+    /// Every operation with its name (its MDL spelling after `alu.`, and
+    /// the frontends' mnemonic), in declaration order.
+    const NAMES: [(AluOp, &'static str); 14] = [
+        (AluOp::Add, "add"),
+        (AluOp::Adc, "adc"),
+        (AluOp::Sub, "sub"),
+        (AluOp::Sbb, "sbb"),
+        (AluOp::And, "and"),
+        (AluOp::Or, "or"),
+        (AluOp::Xor, "xor"),
+        (AluOp::Nand, "nand"),
+        (AluOp::Nor, "nor"),
+        (AluOp::Not, "not"),
+        (AluOp::Neg, "neg"),
+        (AluOp::Inc, "inc"),
+        (AluOp::Dec, "dec"),
+        (AluOp::Pass, "pass"),
+    ];
+
+    /// The operation's name.
+    pub fn name(self) -> &'static str {
+        Self::NAMES[self as usize].1
+    }
+
+    /// The operation whose [`name`](Self::name) is `name`, exactly.
+    pub fn from_name(name: &str) -> Option<AluOp> {
+        Self::NAMES.iter().find(|&&(_, n)| n == name).map(|&(op, _)| op)
+    }
+
     /// Whether the operation takes a single source operand.
     pub fn is_unary(self) -> bool {
         matches!(self, AluOp::Not | AluOp::Neg | AluOp::Inc | AluOp::Dec | AluOp::Pass)
@@ -108,6 +137,26 @@ pub enum ShiftOp {
 }
 
 impl ShiftOp {
+    /// Every shift with its name (its MDL spelling after `shift.`, and
+    /// every frontend's mnemonic or keyword), in declaration order.
+    pub const NAMES: [(ShiftOp, &'static str); 5] = [
+        (ShiftOp::Shl, "shl"),
+        (ShiftOp::Shr, "shr"),
+        (ShiftOp::Sar, "sar"),
+        (ShiftOp::Rol, "rol"),
+        (ShiftOp::Ror, "ror"),
+    ];
+
+    /// The shift's name.
+    pub fn name(self) -> &'static str {
+        Self::NAMES[self as usize].1
+    }
+
+    /// The shift whose [`name`](Self::name) is `name`, exactly.
+    pub fn from_name(name: &str) -> Option<ShiftOp> {
+        Self::NAMES.iter().find(|&&(_, n)| n == name).map(|&(op, _)| op)
+    }
+
     /// Applies the shift to a `width`-bit value, returning
     /// `(result, uf)` where `uf` is the last bit shifted out (the `UF`
     /// condition of the SIMPL multiplication example in the paper).
@@ -364,8 +413,21 @@ mod tests {
     }
 
     #[test]
+    fn names_round_trip() {
+        // `name` indexes the tables by declaration order.
+        for (i, (op, name)) in AluOp::NAMES.into_iter().enumerate() {
+            assert_eq!((op as usize, op.name(), AluOp::from_name(name)), (i, name, Some(op)));
+        }
+        for (i, (op, name)) in ShiftOp::NAMES.into_iter().enumerate() {
+            assert_eq!((op as usize, op.name(), ShiftOp::from_name(name)), (i, name, Some(op)));
+        }
+        assert_eq!(AluOp::from_name("ADD"), None, "names are exact");
+        assert_eq!(ShiftOp::from_name("add"), None);
+    }
+
+    #[test]
     fn zero_shift_is_identity() {
-        for op in [ShiftOp::Shl, ShiftOp::Shr, ShiftOp::Sar, ShiftOp::Rol, ShiftOp::Ror] {
+        for (op, _) in ShiftOp::NAMES {
             let (r, uf) = op.apply(0xABCD, 0, 16);
             assert_eq!(r, 0xABCD);
             assert!(!uf);

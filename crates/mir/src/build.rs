@@ -5,7 +5,7 @@ use mcc_machine::{AluOp, CondKind, ShiftOp};
 
 use crate::func::{BlockId, MirBlock, MirFunction, Term};
 use crate::op::MirOp;
-use crate::operand::{Operand, VReg};
+use crate::operand::{Operand, RegOrImm, VReg};
 
 /// Incremental builder for a [`MirFunction`].
 ///
@@ -165,6 +165,52 @@ impl FuncBuilder {
         });
     }
 
+    /// The ALU operation of a binary operator the token frontends write as
+    /// a symbol: `+ - & | ^`.
+    pub fn alu_op(sym: &str) -> Option<AluOp> {
+        Some(match sym {
+            "+" => AluOp::Add,
+            "-" => AluOp::Sub,
+            "&" => AluOp::And,
+            "|" => AluOp::Or,
+            "^" => AluOp::Xor,
+            _ => return None,
+        })
+    }
+
+    /// The condition under which `a rel b` holds once `a - b` has set the
+    /// flags, for the relations a subtraction tests: `=`, `<>` (also
+    /// spelled `!=`), `<` and `>=`. The frontends rewrite `a > b` as
+    /// `b < a` and `a <= b` as `b >= a`.
+    pub fn relation(rel: &str) -> Option<CondKind> {
+        Some(match rel {
+            "=" => CondKind::Zero,
+            "<>" | "!=" => CondKind::NotZero,
+            "<" => CondKind::Neg,
+            ">=" => CondKind::NotNeg,
+            _ => return None,
+        })
+    }
+
+    /// Emits the flag-setting op of `a rel b` and returns the
+    /// [`relation`](Self::relation)'s condition, or `None` (emitting
+    /// nothing) for a relation it lacks. `a = 0` and `a <> 0` pass `a`
+    /// through the ALU; every other comparison subtracts into a fresh
+    /// temporary.
+    pub fn compare(&mut self, a: Operand, rel: &str, b: RegOrImm) -> Option<CondKind> {
+        let cond = Self::relation(rel)?;
+        if b == RegOrImm::Imm(0) && matches!(rel, "=" | "<>") {
+            self.alu_un(AluOp::Pass, a, a);
+        } else {
+            let t = self.vreg();
+            match b {
+                RegOrImm::Reg(r) => self.alu(AluOp::Sub, t, a, r),
+                RegOrImm::Imm(c) => self.alu_imm(AluOp::Sub, t, a, c),
+            }
+        }
+        Some(cond)
+    }
+
     /// Declares an operand live at program exit (an observable result).
     pub fn mark_live_out(&mut self, op: impl Into<Operand>) {
         self.f.live_out.push(op.into());
@@ -209,6 +255,24 @@ mod tests {
         assert_eq!(f.blocks.len(), 4);
         assert_eq!(f.blocks[1].label.as_deref(), Some("head"));
         assert_eq!(f.op_count(), 3);
+    }
+
+    #[test]
+    fn compare_passes_zero_tests_and_subtracts_the_rest() {
+        let mut b = FuncBuilder::new("cmp");
+        let x = Operand::Vreg(b.vreg());
+        assert_eq!(b.compare(x, "=", RegOrImm::Imm(0)), Some(CondKind::Zero));
+        assert_eq!(b.compare(x, "!=", RegOrImm::Imm(0)), Some(CondKind::NotZero));
+        assert_eq!(b.compare(x, ">=", RegOrImm::Reg(x)), Some(CondKind::NotNeg));
+        assert_eq!(b.compare(x, ">", RegOrImm::Imm(1)), None);
+        let f = b.finish();
+        let ops = &f.blocks[0].ops;
+        assert_eq!(ops.len(), 3, "an untestable relation emits nothing");
+        assert_eq!(ops[0], MirOp::alu_un(AluOp::Pass, x, x));
+        assert_eq!(ops[1], MirOp::alu_imm(AluOp::Sub, VReg(1), x, 0), "`!=` always subtracts");
+        assert_eq!(ops[2], MirOp::alu(AluOp::Sub, VReg(2), x, x));
+        assert_eq!(FuncBuilder::alu_op("^"), Some(AluOp::Xor));
+        assert_eq!(FuncBuilder::alu_op("~"), None);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub use dep::{DepEdge, DepGraph, DepKind};
 pub use func::{BlockId, MirBlock, MirFunction, Term};
 pub use liveness::{LiveSets, Liveness};
 pub use op::MirOp;
-pub use operand::{Operand, VReg};
+pub use operand::{Operand, RegOrImm, VReg};
 pub use select::{
     select_function, SelectError, SelectedBlock, SelectedFunction, SelectedOp, SelectedTerm,
 };

@@ -38,6 +38,16 @@ impl Operand {
     }
 }
 
+/// A register or an immediate constant: the right operand of a
+/// comparison and of most frontends' binary operations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RegOrImm {
+    /// A register.
+    Reg(Operand),
+    /// A constant.
+    Imm(u64),
+}
+
 impl From<VReg> for Operand {
     fn from(v: VReg) -> Self {
         Operand::Vreg(v)

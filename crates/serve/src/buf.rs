@@ -1,29 +1,17 @@
-//! Reusable buffers for the wire path.
+//! A reusable buffer for the wire path.
 //!
 //! The v1 line loop, the v2 frame loop, the router's pooled backend
 //! connections, and the fleet's heartbeat client all used to allocate a
-//! fresh `Vec`/`String`/`BufReader` per request. The two types here make
-//! the steady-state wire path allocation-free:
-//!
-//! * [`SegBuf`] — a segmented write buffer. Frames are appended into
-//!   fixed-size segments drawn from a recycle pool, and [`SegBuf::write_out`]
-//!   flushes every segment with the write-all discipline and puts the
-//!   segments back on the pool. Batching several pipelined responses into
-//!   one `write_out` call is what turns N response frames into one
-//!   syscall burst instead of N.
-//! * a reusable read accumulator is just a `Vec<u8>` whose capacity
-//!   survives [`Vec::clear`]; [`shrink_reusable`] clamps its high-water
-//!   mark so one 1 MiB frame does not pin 1 MiB per connection forever.
+//! fresh `Vec`/`String`/`BufReader` per request. Each now keeps one
+//! `Vec<u8>` per connection whose capacity survives [`Vec::clear`]:
+//! a read accumulator, or the v2 loop's write buffer, which encodes every
+//! response frame of a burst back to back so that the burst goes out in
+//! one write instead of one per frame. [`shrink_reusable`] clamps such a
+//! buffer's high-water mark so one 1 MiB frame does not pin 1 MiB per
+//! connection forever.
 
-use std::io::{self, Write};
-
-/// Segment size for [`SegBuf`]. One segment comfortably holds several
-/// typical response frames, and a 1 MiB worst-case frame is 128 segments
-/// that all go back on the recycle pool after one flush.
-const SEG_BYTES: usize = 8 * 1024;
-
-/// The capacity a reusable read buffer is allowed to keep across
-/// requests. Anything larger is released back to the allocator by
+/// The capacity a reusable buffer is allowed to keep across requests.
+/// Anything larger is released back to the allocator by
 /// [`shrink_reusable`].
 pub const REUSE_CAP_BYTES: usize = 64 * 1024;
 
@@ -37,131 +25,9 @@ pub fn shrink_reusable(buf: &mut Vec<u8>) {
     }
 }
 
-/// A segmented, reusable write buffer (see the module docs).
-pub struct SegBuf {
-    /// Filled segments, in write order.
-    full: Vec<Vec<u8>>,
-    /// The segment currently being filled.
-    cur: Vec<u8>,
-    /// Recycled segments waiting for reuse.
-    spare: Vec<Vec<u8>>,
-    /// Total buffered bytes.
-    len: usize,
-}
-
-impl SegBuf {
-    /// An empty buffer; segments are allocated lazily on first use.
-    pub fn new() -> SegBuf {
-        SegBuf {
-            full: Vec::new(),
-            cur: Vec::new(),
-            spare: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// Total buffered bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Appends `bytes`, spilling into fresh (or recycled) segments at
-    /// each segment boundary.
-    pub fn extend(&mut self, mut bytes: &[u8]) {
-        self.len += bytes.len();
-        while !bytes.is_empty() {
-            if self.cur.len() == SEG_BYTES {
-                let next = self
-                    .spare
-                    .pop()
-                    .unwrap_or_else(|| Vec::with_capacity(SEG_BYTES));
-                self.full.push(std::mem::replace(&mut self.cur, next));
-            }
-            if self.cur.capacity() == 0 {
-                self.cur.reserve(SEG_BYTES);
-            }
-            let take = (SEG_BYTES - self.cur.len()).min(bytes.len());
-            self.cur.extend_from_slice(&bytes[..take]);
-            bytes = &bytes[take..];
-        }
-    }
-
-    /// Writes every buffered byte with the write-all discipline of
-    /// [`crate::tcp::write_frame`], then resets the buffer, recycling
-    /// every segment for the next batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying write error; the buffer still resets, so
-    /// a failed connection does not leave half-written frames queued.
-    pub fn write_out(&mut self, w: &mut impl Write) -> io::Result<()> {
-        let mut result = Ok(());
-        for seg in &self.full {
-            if result.is_ok() && !seg.is_empty() {
-                result = crate::tcp::write_frame(w, seg);
-            }
-        }
-        if result.is_ok() && !self.cur.is_empty() {
-            result = crate::tcp::write_frame(w, &self.cur);
-        }
-        self.clear();
-        result
-    }
-
-    /// Drops the buffered bytes but keeps the segments for reuse.
-    pub fn clear(&mut self) {
-        for mut seg in self.full.drain(..) {
-            seg.clear();
-            self.spare.push(seg);
-        }
-        self.cur.clear();
-        self.len = 0;
-    }
-}
-
-impl Default for SegBuf {
-    fn default() -> Self {
-        SegBuf::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn segbuf_round_trips_across_segment_boundaries() {
-        let mut b = SegBuf::new();
-        let payload: Vec<u8> = (0..(3 * SEG_BYTES + 100)).map(|i| (i % 251) as u8).collect();
-        b.extend(&payload[..10]);
-        b.extend(&payload[10..]);
-        assert_eq!(b.len(), payload.len());
-        let mut out = Vec::new();
-        b.write_out(&mut out).unwrap();
-        assert_eq!(out, payload, "segmentation is invisible to the reader");
-        assert!(b.is_empty(), "write_out resets the buffer");
-    }
-
-    #[test]
-    fn segbuf_recycles_segments_instead_of_reallocating() {
-        let mut b = SegBuf::new();
-        let chunk = vec![7u8; 2 * SEG_BYTES];
-        let mut out = Vec::new();
-        b.extend(&chunk);
-        b.write_out(&mut out).unwrap();
-        let spares = b.spare.len();
-        assert!(spares >= 1, "full segments went back on the pool");
-        out.clear();
-        b.extend(&chunk);
-        b.write_out(&mut out).unwrap();
-        assert_eq!(out, chunk);
-        assert_eq!(b.spare.len(), spares, "the second batch reused the pool");
-    }
 
     #[test]
     fn shrink_reusable_clamps_the_high_water_mark() {

@@ -463,7 +463,7 @@ fn v1_connection(
 /// The v2 pipelined loop: decode every complete frame in the read
 /// burst, admit each request through [`LineHandler::submit_wire`] with
 /// the identity from its header, let the handler flush what it held
-/// back, collect the outcomes in arrival order into one segmented
+/// back, encode the outcomes in arrival order into one reusable
 /// buffer, and answer with one write before the next read. The
 /// handler's intake overlaps the burst's work; the loop's own win is one
 /// read and one write syscall per burst instead of one of each per
@@ -499,8 +499,7 @@ fn v2_connection(
 
     let mut caps = Caps { compress: false, window: proto2::DEFAULT_WINDOW };
     let mut acc: Vec<u8> = Vec::new();
-    let mut seg = crate::buf::SegBuf::new();
-    let mut scratch: Vec<u8> = Vec::new();
+    let mut wbuf: Vec<u8> = Vec::new();
     let mut outs: Vec<Out> = Vec::new();
     let mut fatal = false;
     loop {
@@ -571,12 +570,14 @@ fn v2_connection(
                 WireSubmission::Done(body) => body,
                 WireSubmission::Pending(answer) => answer(),
             };
-            crate::buf::shrink_reusable(&mut scratch);
-            proto2::encode_frame(&mut scratch, ftype, &cid, rid, body.trim_end_matches('\n'), min);
-            seg.extend(&scratch);
+            proto2::encode_frame(&mut wbuf, ftype, &cid, rid, body.trim_end_matches('\n'), min);
         }
-        if !seg.is_empty() && seg.write_out(&mut writer).is_err() {
-            break;
+        if !wbuf.is_empty() {
+            let written = write_frame(&mut writer, &wbuf);
+            crate::buf::shrink_reusable(&mut wbuf);
+            if written.is_err() {
+                break;
+            }
         }
         if fatal {
             break;

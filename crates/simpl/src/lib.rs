@@ -41,7 +41,7 @@ use mcc_lang::{
     Case, Comments, DepthGuard, Diagnostic, FrontendLimits, Lexer, Span, Syntax, Tok, RELATIONS,
 };
 use mcc_machine::{AluOp, CondKind, MachineDesc, ShiftOp};
-use mcc_mir::{FuncBuilder, MirFunction, Operand, Term};
+use mcc_mir::{FuncBuilder, MirFunction, Operand, RegOrImm, Term};
 
 /// A parsed-and-lowered SIMPL program.
 #[derive(Debug)]
@@ -80,16 +80,10 @@ struct Parser<'a, 'm> {
 
 /// A parsed single-operator expression.
 enum Expr {
-    Operand(Val),
-    Bin(String, Val, Val),
-    Un(String, Val),
-    Shift(ShiftOp, Val, u64),
-}
-
-#[derive(Clone, Copy)]
-enum Val {
-    Reg(Operand),
-    Imm(u64),
+    Operand(RegOrImm),
+    Bin(String, RegOrImm, RegOrImm),
+    Un(String, RegOrImm),
+    Shift(ShiftOp, RegOrImm, u64),
 }
 
 impl<'a, 'm> Parser<'a, 'm> {
@@ -104,18 +98,18 @@ impl<'a, 'm> Parser<'a, 'm> {
             .ok_or_else(|| self.lx.diag(format!("`{name}` is not a register of {}", self.m.name)))
     }
 
-    fn val(&mut self) -> Result<Val, Diagnostic> {
+    fn val(&mut self) -> Result<RegOrImm, Diagnostic> {
         match self.lx.tok().clone() {
             Tok::Num(v) => {
                 self.lx.advance()?;
-                Ok(Val::Imm(v))
+                Ok(RegOrImm::Imm(v))
             }
             Tok::Ident(w) => {
                 self.lx.advance()?;
                 if let Some(&c) = self.consts.get(&w.to_ascii_lowercase()) {
-                    Ok(Val::Imm(c))
+                    Ok(RegOrImm::Imm(c))
                 } else {
-                    Ok(Val::Reg(self.register(&w)?))
+                    Ok(RegOrImm::Reg(self.register(&w)?))
                 }
             }
             _ => Err(self.lx.diag("expected register, constant or number")),
@@ -130,80 +124,65 @@ impl<'a, 'm> Parser<'a, 'm> {
             return Ok(Expr::Un(op.to_string(), v));
         }
         let a = self.val()?;
-        match self.lx.tok().clone() {
-            Tok::Sym(op @ ("+" | "-" | "&" | "|" | "^" | "~")) => {
-                self.lx.advance()?;
-                let b = self.val()?;
-                Ok(Expr::Bin(op.to_string(), a, b))
+        if let Tok::Sym(op @ ("+" | "-" | "&" | "|" | "^" | "~")) = *self.lx.tok() {
+            self.lx.advance()?;
+            let b = self.val()?;
+            return Ok(Expr::Bin(op.to_string(), a, b));
+        }
+        let Some((op, _)) = ShiftOp::NAMES.into_iter().find(|&(_, name)| self.lx.peek_kw(name))
+        else {
+            return Ok(Expr::Operand(a));
+        };
+        self.lx.advance()?;
+        let n = match self.val()? {
+            RegOrImm::Imm(n) => n,
+            RegOrImm::Reg(_) => {
+                return Err(self.lx.diag("shift amounts must be constants in SIMPL"))
             }
-            Tok::Ident(w)
-                if ["shl", "shr", "sar", "rol", "ror"]
-                    .contains(&w.to_ascii_lowercase().as_str()) =>
-            {
-                self.lx.advance()?;
-                let op = match w.to_ascii_lowercase().as_str() {
-                    "shl" => ShiftOp::Shl,
-                    "shr" => ShiftOp::Shr,
-                    "sar" => ShiftOp::Sar,
-                    "rol" => ShiftOp::Rol,
-                    _ => ShiftOp::Ror,
-                };
-                let n = match self.val()? {
-                    Val::Imm(n) => n,
-                    Val::Reg(_) => {
-                        return Err(self.lx.diag("shift amounts must be constants in SIMPL"))
-                    }
-                };
-                Ok(Expr::Shift(op, a, n))
+        };
+        Ok(Expr::Shift(op, a, n))
+    }
+
+    /// `v` in a register: its own, or a fresh temporary loaded with it.
+    fn in_reg(&mut self, v: RegOrImm) -> Operand {
+        match v {
+            RegOrImm::Reg(r) => r,
+            RegOrImm::Imm(c) => {
+                let t = Operand::Vreg(self.b.vreg());
+                self.b.ldi(t, c);
+                t
             }
-            _ => Ok(Expr::Operand(a)),
         }
     }
 
     /// Emits `expr -> dst`.
     fn emit_assign(&mut self, e: Expr, dst: Operand) -> Result<(), Diagnostic> {
-        let to_reg = |p: &mut Self, v: Val| -> Operand {
-            match v {
-                Val::Reg(r) => r,
-                Val::Imm(c) => {
-                    let t = Operand::Vreg(p.b.vreg());
-                    p.b.ldi(t, c);
-                    t
-                }
-            }
-        };
         match e {
-            Expr::Operand(Val::Imm(c)) => self.b.ldi(dst, c),
-            Expr::Operand(Val::Reg(r)) => self.b.mov(dst, r),
+            Expr::Operand(RegOrImm::Imm(c)) => self.b.ldi(dst, c),
+            Expr::Operand(RegOrImm::Reg(r)) => self.b.mov(dst, r),
             Expr::Un(op, v) => {
-                let r = to_reg(self, v);
+                let r = self.in_reg(v);
                 let a = if op == "~" { AluOp::Not } else { AluOp::Neg };
                 self.b.alu_un(a, dst, r);
             }
             Expr::Bin(op, a, bv) => {
-                let aop = match op.as_str() {
-                    "+" => AluOp::Add,
-                    "-" => AluOp::Sub,
-                    "&" => AluOp::And,
-                    "|" => AluOp::Or,
-                    "^" => AluOp::Xor,
-                    other => return Err(self.lx.diag(format!("unknown operator `{other}`"))),
-                };
+                let aop = FuncBuilder::alu_op(&op)
+                    .ok_or_else(|| self.lx.diag(format!("unknown operator `{op}`")))?;
                 match (a, bv) {
-                    (Val::Reg(ra), Val::Imm(c)) => self.b.alu_imm(aop, dst, ra, c),
-                    (Val::Imm(c), Val::Reg(rb)) if matches!(aop, AluOp::Add | AluOp::And | AluOp::Or | AluOp::Xor) => {
+                    (RegOrImm::Reg(ra), RegOrImm::Imm(c)) => self.b.alu_imm(aop, dst, ra, c),
+                    (RegOrImm::Imm(c), RegOrImm::Reg(rb)) if matches!(aop, AluOp::Add | AluOp::And | AluOp::Or | AluOp::Xor) => {
                         // Commutative: swap.
                         self.b.alu_imm(aop, dst, rb, c)
                     }
                     (a, bv) => {
-                        let ra = to_reg(self, a);
-                        let rb = to_reg(self, bv);
+                        let ra = self.in_reg(a);
+                        let rb = self.in_reg(bv);
                         self.b.alu(aop, dst, ra, rb);
                     }
                 }
             }
             Expr::Shift(op, v, n) => {
-                let r = to_reg(self, v);
+                let r = self.in_reg(v);
                 self.b.shift(op, dst, r, n);
             }
         }
@@ -240,30 +219,10 @@ impl<'a, 'm> Parser<'a, 'm> {
             "<=" => (bv, ">=", a),
             r => (a, r, bv),
         };
-        let ra = match a {
-            Val::Reg(r) => r,
-            Val::Imm(c) => {
-                let t = Operand::Vreg(self.b.vreg());
-                self.b.ldi(t, c);
-                t
-            }
-        };
-        if matches!(bv, Val::Imm(0)) && (rel == "=" || rel == "<>") {
-            self.b.alu_un(AluOp::Pass, ra, ra);
-        } else {
-            let t = Operand::Vreg(self.b.vreg());
-            match bv {
-                Val::Reg(rb) => self.b.alu(AluOp::Sub, t, ra, rb),
-                Val::Imm(c) => self.b.alu_imm(AluOp::Sub, t, ra, c),
-            }
-        }
-        Ok(match rel {
-            "=" => CondKind::Zero,
-            "<>" => CondKind::NotZero,
-            "<" => CondKind::Neg,
-            ">=" => CondKind::NotNeg,
-            _ => unreachable!(),
-        })
+        let ra = self.in_reg(a);
+        self.b
+            .compare(ra, rel, bv)
+            .ok_or_else(|| self.lx.diag(format!("unknown relop `{rel}`")))
     }
 
     /// stmt — returns whether the statement terminated the current block

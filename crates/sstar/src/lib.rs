@@ -31,7 +31,7 @@ use std::collections::HashMap;
 
 use mcc_lang::{Case, Comments, DepthGuard, Diagnostic, FrontendLimits, Lexer, Span, Syntax, Tok};
 use mcc_machine::{AluOp, CondKind, MachineDesc, RegRef, ShiftOp};
-use mcc_mir::{BlockId, FuncBuilder, MirFunction, Operand, Term};
+use mcc_mir::{BlockId, FuncBuilder, MirFunction, Operand, RegOrImm, Term};
 use mcc_verify::{check_triple, Assign, Pred, Verdict};
 
 /// Where a declared S\* object lives.
@@ -124,7 +124,7 @@ enum Ast {
     Name(String),
     Index(String, u64),
     Field(String, String),
-    Bin(char, Box<Ast>, Box<Ast>),
+    Bin(AluOp, Box<Ast>, Box<Ast>),
     Shift(ShiftOp, Box<Ast>, u64),
     Not(Box<Ast>),
     Neg(Box<Ast>),
@@ -154,6 +154,8 @@ struct Parser<'a, 'm> {
     /// One guard for statement *and* expression nesting: what matters is
     /// the cumulative native stack, not either grammar alone.
     depth: DepthGuard,
+    /// The limits assertion text is parsed under.
+    limits: FrontendLimits,
 }
 
 impl<'a, 'm> Parser<'a, 'm> {
@@ -414,53 +416,41 @@ impl<'a, 'm> Parser<'a, 'm> {
 
     // ---- expressions --------------------------------------------------------
 
-    fn expr_ast(&mut self) -> Result<Ast, Diagnostic> {
-        let mut a = self.term_ast()?;
-        loop {
-            if self.lx.sym("+")? {
-                a = Ast::Bin('+', Box::new(a), Box::new(self.term_ast()?));
-            } else if self.lx.sym("-")? {
-                a = Ast::Bin('-', Box::new(a), Box::new(self.term_ast()?));
-            } else {
-                return Ok(a);
+    /// Consumes the first of the operator symbols `syms` that comes next,
+    /// as its ALU operation.
+    fn alu_sym(&mut self, syms: &[&str]) -> Result<Option<AluOp>, Diagnostic> {
+        for &s in syms {
+            if self.lx.sym(s)? {
+                return Ok(FuncBuilder::alu_op(s));
             }
         }
+        Ok(None)
+    }
+
+    fn expr_ast(&mut self) -> Result<Ast, Diagnostic> {
+        let mut a = self.term_ast()?;
+        while let Some(op) = self.alu_sym(&["+", "-"])? {
+            a = Ast::Bin(op, Box::new(a), Box::new(self.term_ast()?));
+        }
+        Ok(a)
     }
 
     fn term_ast(&mut self) -> Result<Ast, Diagnostic> {
         let mut a = self.shift_ast()?;
-        loop {
-            if self.lx.sym("&")? {
-                a = Ast::Bin('&', Box::new(a), Box::new(self.shift_ast()?));
-            } else if self.lx.sym("|")? {
-                a = Ast::Bin('|', Box::new(a), Box::new(self.shift_ast()?));
-            } else if self.lx.sym("^")? {
-                a = Ast::Bin('^', Box::new(a), Box::new(self.shift_ast()?));
-            } else {
-                return Ok(a);
-            }
+        while let Some(op) = self.alu_sym(&["&", "|", "^"])? {
+            a = Ast::Bin(op, Box::new(a), Box::new(self.shift_ast()?));
         }
+        Ok(a)
     }
 
     fn shift_ast(&mut self) -> Result<Ast, Diagnostic> {
         let mut a = self.atom_ast()?;
-        loop {
-            let op = if self.lx.kw("shl")? {
-                ShiftOp::Shl
-            } else if self.lx.kw("shr")? {
-                ShiftOp::Shr
-            } else if self.lx.kw("sar")? {
-                ShiftOp::Sar
-            } else if self.lx.kw("rol")? {
-                ShiftOp::Rol
-            } else if self.lx.kw("ror")? {
-                ShiftOp::Ror
-            } else {
-                return Ok(a);
-            };
+        while let Some((op, _)) = ShiftOp::NAMES.into_iter().find(|&(_, n)| self.lx.peek_kw(n)) {
+            self.lx.advance()?;
             let n = self.lx.number()?;
             a = Ast::Shift(op, Box::new(a), n);
         }
+        Ok(a)
     }
 
     fn atom_ast(&mut self) -> Result<Ast, Diagnostic> {
@@ -551,13 +541,12 @@ impl<'a, 'm> Parser<'a, 'm> {
                 // Constant right operands use the immediate path.
                 if let Ast::Num(v) = **y {
                     let t = Operand::Vreg(self.b.vreg());
-                    let aop = bin_aluop(*op);
-                    self.b.alu_imm(aop, t, vx, v);
+                    self.b.alu_imm(*op, t, vx, v);
                     return Ok(t);
                 }
                 let vy = self.eval(y)?;
                 let t = Operand::Vreg(self.b.vreg());
-                self.b.alu(bin_aluop(*op), t, vx, vy);
+                self.b.alu(*op, t, vx, vy);
                 Ok(t)
             }
             Ast::Shift(op, x, n) => {
@@ -772,7 +761,7 @@ impl<'a, 'm> Parser<'a, 'm> {
             self.lx.expect_sym("(")?;
             // Capture the raw predicate text up to the matching `)`.
             let text = self.capture_pred_text()?;
-            let pred = mcc_verify::parse_pred(&text)
+            let pred = mcc_verify::parse_pred_with_limits(&text, &self.limits)
                 .map_err(|e| self.lx.diag(format!("bad assertion: {e}")))?;
             let info = AssertInfo {
                 index: self.asserts.len() + 1,
@@ -933,10 +922,10 @@ impl<'a, 'm> Parser<'a, 'm> {
             Ast::Bin(op, x, y) => {
                 let vx = self.eval(x)?;
                 if let Ast::Num(v) = **y {
-                    self.b.alu_imm(bin_aluop(*op), dst, vx, v);
+                    self.b.alu_imm(*op, dst, vx, v);
                 } else {
                     let vy = self.eval(y)?;
-                    self.b.alu(bin_aluop(*op), dst, vx, vy);
+                    self.b.alu(*op, dst, vx, vy);
                 }
                 Ok(())
             }
@@ -992,13 +981,7 @@ impl<'a, 'm> Parser<'a, 'm> {
                 self.b.alu(AluOp::Sub, t, va, vb);
             }
         }
-        Ok(match rel {
-            "=" => CondKind::Zero,
-            "<>" => CondKind::NotZero,
-            "<" => CondKind::Neg,
-            ">=" => CondKind::NotNeg,
-            _ => unreachable!(),
-        })
+        FuncBuilder::relation(rel).ok_or_else(|| self.lx.diag(format!("unknown relop `{rel}`")))
     }
 
     /// Captures the raw text of an assertion up to its closing paren.
@@ -1054,13 +1037,9 @@ impl<'a, 'm> Parser<'a, 'm> {
         };
         let lv = as_operand(self, lhs);
         let (cond, va, vb) = match (lv, rhs) {
-            (Some(va), mcc_verify::Expr::Const(c)) => {
-                let idx = self.asserts.len() as u64;
-                let _ = idx;
-                (op, va, RegOrConst::Const(*c))
-            }
+            (Some(va), mcc_verify::Expr::Const(c)) => (op, va, RegOrImm::Imm(*c)),
             (Some(va), mcc_verify::Expr::Var(_)) => match as_operand(self, rhs) {
-                Some(vb) => (op, va, RegOrConst::Reg(vb)),
+                Some(vb) => (op, va, RegOrImm::Reg(vb)),
                 None => return Ok(()),
             },
             _ => return Ok(()),
@@ -1090,11 +1069,11 @@ impl<'a, 'm> Parser<'a, 'm> {
         // Compare and branch.
         let t = Operand::Vreg(self.b.vreg());
         match vb {
-            RegOrConst::Const(0) if matches!(kind, CondKind::Zero | CondKind::NotZero) => {
+            RegOrImm::Imm(0) if matches!(kind, CondKind::Zero | CondKind::NotZero) => {
                 self.b.alu_un(AluOp::Pass, va, va);
             }
-            RegOrConst::Const(c) => self.b.alu_imm(AluOp::Sub, t, va, c),
-            RegOrConst::Reg(r) => self.b.alu(AluOp::Sub, t, va, r),
+            RegOrImm::Imm(c) => self.b.alu_imm(AluOp::Sub, t, va, c),
+            RegOrImm::Reg(r) => self.b.alu(AluOp::Sub, t, va, r),
         }
         let ok = self.b.new_block();
         let set = self.b.new_block();
@@ -1107,25 +1086,10 @@ impl<'a, 'm> Parser<'a, 'm> {
     }
 }
 
-enum RegOrConst {
-    Reg(Operand),
-    Const(u64),
-}
-
 enum Lhs {
     Simple(String),
     Element(String, u64),
     Field(String, String),
-}
-
-fn bin_aluop(c: char) -> AluOp {
-    match c {
-        '+' => AluOp::Add,
-        '-' => AluOp::Sub,
-        '&' => AluOp::And,
-        '|' => AluOp::Or,
-        _ => AluOp::Xor,
-    }
 }
 
 fn mask_of(width: u16) -> u64 {
@@ -1149,10 +1113,10 @@ fn ast_to_verify(a: &Ast) -> Option<mcc_verify::Expr> {
             let x = ast_to_verify(x)?;
             let y = ast_to_verify(y)?;
             match op {
-                '+' => V::add(x, y),
-                '-' => V::sub(x, y),
-                '&' => V::and(x, y),
-                '|' => V::or(x, y),
+                AluOp::Add => V::add(x, y),
+                AluOp::Sub => V::sub(x, y),
+                AluOp::And => V::and(x, y),
+                AluOp::Or => V::or(x, y),
                 _ => V::xor(x, y),
             }
         }
@@ -1203,6 +1167,7 @@ pub fn parse_with_limits(
         region_depth: 0,
         procs: HashMap::new(),
         depth: DepthGuard::new(limits),
+        limits: *limits,
     };
 
     p.lx.expect_kw("program")?;

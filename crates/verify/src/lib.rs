@@ -26,6 +26,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use mcc_lang::{Case, Comments, DepthGuard, FrontendLimits, Lexer, Span, Syntax, Tok, RELATIONS};
+
 /// Binary bitvector operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
@@ -435,6 +437,15 @@ fn mask(width: u16) -> u64 {
 
 // --------------------------------------------------------------- parser --
 
+/// The predicate language's tokens: no comments, identifiers fold to
+/// lowercase, and only the grammar's operators are symbols.
+const SYNTAX: Syntax = Syntax {
+    comments: Comments::None,
+    case: Case::Lower,
+    multi: &["=>", "<>", "<=", ">=", "<<", ">>"],
+    single: Some("=<>~&|^+-()"),
+};
+
 /// Parses a predicate, e.g. `x + 1 = y and (z < 3 or not (y = 0))`.
 ///
 /// Grammar (loosest binding first): `=>` (implies), `or`, `and`, `not`,
@@ -443,109 +454,97 @@ fn mask(width: u16) -> u64 {
 ///
 /// # Errors
 ///
-/// Returns a message describing the first syntax error.
+/// Returns a message describing the first syntax error, or the limit of
+/// `FrontendLimits::default()` the text exceeds.
 pub fn parse_pred(src: &str) -> Result<Pred, String> {
-    let toks = tokenize(src)?;
-    let mut p = PParser { toks, pos: 0 };
-    let pred = p.implies()?;
-    if p.pos != p.toks.len() {
-        return Err(format!("trailing input at token {}", p.pos));
-    }
-    Ok(pred)
+    parse_pred_with_limits(src, &FrontendLimits::default())
 }
 
-/// Parses an expression, e.g. `(x & 255) << 8`.
+/// [`parse_pred`] under the caller's token budget and nesting depth, so
+/// predicate text embedded in a program obeys the program's limits.
 ///
 /// # Errors
 ///
-/// Returns a message describing the first syntax error.
+/// Returns a message describing the first syntax error or exceeded limit.
+pub fn parse_pred_with_limits(src: &str, limits: &FrontendLimits) -> Result<Pred, String> {
+    PParser::new(src, limits)?.whole(PParser::implies)
+}
+
+/// Parses an expression, e.g. `(x & 255) << 8`, under
+/// `FrontendLimits::default()`.
+///
+/// # Errors
+///
+/// Returns a message describing the first syntax error or exceeded limit.
 pub fn parse_expr(src: &str) -> Result<Expr, String> {
-    let toks = tokenize(src)?;
-    let mut p = PParser { toks, pos: 0 };
-    let e = p.expr()?;
-    if p.pos != p.toks.len() {
-        return Err(format!("trailing input at token {}", p.pos));
-    }
-    Ok(e)
+    PParser::new(src, &FrontendLimits::default())?.whole(PParser::expr)
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum T {
-    Num(u64),
-    Ident(String),
-    Sym(String),
-}
-
-fn tokenize(src: &str) -> Result<Vec<T>, String> {
-    let mut out = Vec::new();
-    let mut c = mcc_lang::Cursor::new(src);
-    loop {
-        c.skip_ws();
-        let Some(ch) = c.peek() else { break };
-        if ch.is_ascii_digit() {
-            let w = c.take_while(|x| x.is_alphanumeric());
-            let v = mcc_lang::parse_int(w).ok_or_else(|| format!("bad number `{w}`"))?;
-            out.push(T::Num(v));
-        } else if ch.is_alphabetic() || ch == '_' {
-            let w = c.take_while(|x| x.is_alphanumeric() || x == '_');
-            out.push(T::Ident(w.to_ascii_lowercase()));
-        } else {
-            let mut matched = false;
-            for s in ["=>", "<>", "<=", ">=", "<<", ">>"] {
-                if c.eat_str(s) {
-                    out.push(T::Sym(s.into()));
-                    matched = true;
-                    break;
-                }
-            }
-            if matched {
-                continue;
-            }
-            match c.peek() {
-                Some(x @ ('=' | '<' | '>' | '~' | '&' | '|' | '^' | '+' | '-' | '(' | ')')) => {
-                    c.bump();
-                    out.push(T::Sym(x.to_string()));
-                }
-                Some(other) => return Err(format!("unexpected character `{other}`")),
-                None => {}
-            }
-        }
-    }
-    Ok(out)
-}
-
-struct PParser {
-    toks: Vec<T>,
+struct PParser<'a> {
+    toks: Vec<Tok<'a>>,
     pos: usize,
+    depth: DepthGuard,
 }
 
-impl PParser {
-    fn peek(&self) -> Option<&T> {
+impl<'a> PParser<'a> {
+    /// Lexes all of `src` before parsing any of it, so a bad number or a
+    /// stray character is reported ahead of any syntax error.
+    fn new(src: &'a str, limits: &FrontendLimits) -> Result<Self, String> {
+        let mut lx = Lexer::new(src, &SYNTAX, limits).map_err(|d| d.message)?;
+        let mut toks = Vec::new();
+        while *lx.tok() != Tok::Eof {
+            toks.push(lx.tok().clone());
+            lx.advance().map_err(|d| d.message)?;
+        }
+        Ok(PParser {
+            toks,
+            pos: 0,
+            depth: DepthGuard::new(limits),
+        })
+    }
+
+    /// Runs `parse`, which must consume every token.
+    fn whole<T>(mut self, parse: fn(&mut Self) -> Result<T, String>) -> Result<T, String> {
+        let v = parse(&mut self)?;
+        if self.pos != self.toks.len() {
+            return Err(format!("trailing input at token {}", self.pos));
+        }
+        Ok(v)
+    }
+
+    /// Runs a recursive production one level deeper, under the depth
+    /// guard.
+    fn nested<T>(&mut self, parse: fn(&mut Self) -> Result<T, String>) -> Result<T, String> {
+        self.depth.enter(Span::default()).map_err(|d| d.message)?;
+        let r = parse(self);
+        self.depth.leave();
+        r
+    }
+
+    fn peek(&self) -> Option<&Tok<'a>> {
         self.toks.get(self.pos)
     }
 
+    fn peek_sym(&self, s: &str) -> bool {
+        matches!(self.peek(), Some(Tok::Sym(x)) if *x == s)
+    }
+
     fn eat_sym(&mut self, s: &str) -> bool {
-        if matches!(self.peek(), Some(T::Sym(x)) if x == s) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+        let hit = self.peek_sym(s);
+        self.pos += usize::from(hit);
+        hit
     }
 
     fn eat_ident(&mut self, w: &str) -> bool {
-        if matches!(self.peek(), Some(T::Ident(x)) if x == w) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+        let hit = matches!(self.peek(), Some(Tok::Ident(x)) if x == w);
+        self.pos += usize::from(hit);
+        hit
     }
 
     fn implies(&mut self) -> Result<Pred, String> {
         let a = self.disj()?;
         if self.eat_sym("=>") {
-            let b = self.implies()?;
+            let b = self.nested(Self::implies)?;
             return Ok(Pred::Implies(Box::new(a), Box::new(b)));
         }
         Ok(a)
@@ -571,7 +570,7 @@ impl PParser {
 
     fn negp(&mut self) -> Result<Pred, String> {
         if self.eat_ident("not") {
-            return Ok(Pred::Not(Box::new(self.negp()?)));
+            return Ok(Pred::Not(Box::new(self.nested(Self::negp)?)));
         }
         if self.eat_ident("true") {
             return Ok(Pred::True);
@@ -579,21 +578,20 @@ impl PParser {
         if self.eat_ident("false") {
             return Ok(Pred::False);
         }
-        // Parenthesised predicate? Try with backtracking.
-        if matches!(self.peek(), Some(T::Sym(s)) if s == "(") {
-            let save = self.pos;
+        // Parenthesised predicate? Try with backtracking. A failed attempt
+        // may have left the guard deeper (its errors skip `leave`), so the
+        // guard goes back with the position.
+        if self.peek_sym("(") {
+            let save = (self.pos, self.depth.clone());
             self.pos += 1;
-            if let Ok(p) = self.implies() {
-                if self.eat_sym(")") {
-                    // Could still be an expression used in a comparison —
-                    // only if a relop follows; predicates are not operands.
-                    if !matches!(self.peek(), Some(T::Sym(s)) if ["=","<>","<","<=",">",">="].contains(&s.as_str()))
-                    {
-                        return Ok(p);
-                    }
+            if let Ok(p) = self.nested(Self::implies) {
+                // Could still be an expression used in a comparison —
+                // only if a relop follows; predicates are not operands.
+                if self.eat_sym(")") && !RELATIONS.iter().any(|r| self.peek_sym(r)) {
+                    return Ok(p);
                 }
             }
-            self.pos = save;
+            (self.pos, self.depth) = save;
         }
         self.cmp()
     }
@@ -601,7 +599,7 @@ impl PParser {
     fn cmp(&mut self) -> Result<Pred, String> {
         let a = self.expr()?;
         let op = match self.peek() {
-            Some(T::Sym(s)) => match s.as_str() {
+            Some(Tok::Sym(s)) => match *s {
                 "=" => CmpOp::Eq,
                 "<>" => CmpOp::Ne,
                 "<" => CmpOp::Lt,
@@ -653,8 +651,7 @@ impl PParser {
 
     fn number(&mut self) -> Result<u64, String> {
         match self.peek() {
-            Some(T::Num(v)) => {
-                let v = *v;
+            Some(&Tok::Num(v)) => {
                 self.pos += 1;
                 Ok(v)
             }
@@ -663,29 +660,30 @@ impl PParser {
     }
 
     fn atom(&mut self) -> Result<Expr, String> {
-        match self.peek().cloned() {
-            Some(T::Num(v)) => {
+        let e = match self.peek() {
+            Some(&Tok::Num(v)) => Expr::Const(v),
+            Some(Tok::Ident(w)) => Expr::Var(w.clone()),
+            Some(Tok::Sym("~")) => {
                 self.pos += 1;
-                Ok(Expr::Const(v))
+                return Ok(Expr::Not(Box::new(self.nested(Self::atom)?)));
             }
-            Some(T::Ident(w)) => {
+            Some(Tok::Sym("(")) => {
                 self.pos += 1;
-                Ok(Expr::Var(w))
+                return self.nested(Self::paren_expr);
             }
-            Some(T::Sym(s)) if s == "~" => {
-                self.pos += 1;
-                Ok(Expr::Not(Box::new(self.atom()?)))
-            }
-            Some(T::Sym(s)) if s == "(" => {
-                self.pos += 1;
-                let e = self.expr()?;
-                if !self.eat_sym(")") {
-                    return Err("missing `)`".into());
-                }
-                Ok(e)
-            }
-            other => Err(format!("expected expression atom, got {other:?}")),
+            other => return Err(format!("expected expression atom, got {other:?}")),
+        };
+        self.pos += 1;
+        Ok(e)
+    }
+
+    /// The rest of `( expr )` after its `(`.
+    fn paren_expr(&mut self) -> Result<Expr, String> {
+        let e = self.expr()?;
+        if !self.eat_sym(")") {
+            return Err("missing `)`".into());
         }
+        Ok(e)
     }
 }
 
@@ -824,5 +822,57 @@ mod tests {
         assert!(parse_pred("x +").is_err());
         assert!(parse_pred("x = ").is_err());
         assert!(parse_expr("(x").is_err());
+        // Lexing finishes before parsing starts.
+        assert_eq!(parse_pred("x = 1 and").unwrap_err(), "expected expression atom, got None");
+        assert_eq!(parse_pred("x = and 9z").unwrap_err(), "bad number `9z`");
+        assert_eq!(parse_pred("x = # 1").unwrap_err(), "unexpected character `#`");
+        assert_eq!(parse_pred("x = 1 y").unwrap_err(), "trailing input at token 3");
+        assert_eq!(parse_pred("X = 1"), parse_pred("x = 1"), "identifiers fold to lowercase");
+        assert_eq!(
+            parse_pred("x y").unwrap_err(),
+            r#"expected relational operator, got Some(Ident("y"))"#
+        );
+    }
+
+    /// Every recursive production enters the depth guard, so no predicate
+    /// can exhaust the native stack.
+    #[test]
+    fn deep_predicates_hit_the_depth_guard() {
+        let deep = [
+            format!("{}(x = 3)", "not ".repeat(200_000)),
+            format!("x = 1{}", " => x = 1".repeat(100_000)),
+            format!("{}x = 3", "~".repeat(100_000)),
+            format!("{}x = 3{}", "(".repeat(100_000), ")".repeat(100_000)),
+        ];
+        for src in &deep {
+            assert_eq!(
+                parse_pred(src).unwrap_err(),
+                "nesting deeper than 64 levels",
+                "{}…",
+                &src[..40]
+            );
+        }
+    }
+
+    #[test]
+    fn depth_and_token_limits_come_from_the_caller() {
+        let limits = FrontendLimits {
+            max_depth: 2,
+            ..FrontendLimits::default()
+        };
+        let parse = |src: &str| parse_pred_with_limits(src, &limits);
+        for ok in ["not not x = 1", "((x = 1))", "(~x) = 1", "(x) = 1 => y = 1 => z = 1"] {
+            assert!(parse(ok).is_ok(), "{ok}: {:?}", parse(ok));
+        }
+        for deep in ["not not not x = 1", "(((x = 1)))", "~~~x = 1", "a = 1 => b = 1 => c = 1 => d = 1"] {
+            assert_eq!(parse(deep).unwrap_err(), "nesting deeper than 2 levels", "{deep}");
+        }
+        // Parenthesised attempts that fail fall back without using up depth.
+        assert!(parse("((x)) = 1 and ((y)) = 2 and not not z = 3").is_ok());
+        let budget = FrontendLimits {
+            max_tokens: 3,
+            ..FrontendLimits::default()
+        };
+        assert_eq!(parse_pred_with_limits("x = 1", &budget).unwrap_err(), "token budget exceeded");
     }
 }

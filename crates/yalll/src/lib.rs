@@ -38,7 +38,7 @@ use std::collections::HashMap;
 
 use mcc_lang::{parse_int, Diagnostic, FrontendLimits, Span, TokenBudget};
 use mcc_machine::{AluOp, CondKind, MachineDesc, RegRef, ShiftOp};
-use mcc_mir::{FuncBuilder, MirFunction, Operand, Term};
+use mcc_mir::{FuncBuilder, MirFunction, Operand, RegOrImm, Term};
 
 /// A parsed-and-lowered YALLL program.
 #[derive(Debug)]
@@ -94,11 +94,11 @@ impl<'m> Lower<'m> {
     }
 
     /// Register or constant.
-    fn roc(&mut self, tok: &str, at: usize) -> Result<RegOrConst, Diagnostic> {
+    fn roc(&mut self, tok: &str, at: usize) -> Result<RegOrImm, Diagnostic> {
         if let Some(v) = parse_int(tok) {
-            return Ok(RegOrConst::Const(v));
+            return Ok(RegOrImm::Imm(v));
         }
-        Ok(RegOrConst::Reg(self.operand(tok, at)?))
+        Ok(RegOrImm::Reg(self.operand(tok, at)?))
     }
 
     /// Emit a flag-setting comparison `a relop b` and return the branch
@@ -107,43 +107,18 @@ impl<'m> Lower<'m> {
         &mut self,
         a: Operand,
         relop: &str,
-        b: RegOrConst,
+        b: RegOrImm,
         at: usize,
     ) -> Result<CondKind, Diagnostic> {
-        // `x = 0` and `x <> 0` avoid the subtraction.
-        if matches!(b, RegOrConst::Const(0)) && (relop == "=" || relop == "<>") {
-            self.b.alu_un(AluOp::Pass, a, a);
-            return Ok(if relop == "=" {
-                CondKind::Zero
-            } else {
-                CondKind::NotZero
-            });
-        }
-        let t = Operand::Vreg(self.b.vreg());
-        match b {
-            RegOrConst::Reg(r) => self.b.alu(AluOp::Sub, t, a, r),
-            RegOrConst::Const(c) => self.b.alu_imm(AluOp::Sub, t, a, c),
-        }
-        Ok(match relop {
-            "=" => CondKind::Zero,
-            "<>" | "!=" => CondKind::NotZero,
-            "<" => CondKind::Neg,
-            ">=" => CondKind::NotNeg,
+        self.b.compare(a, relop, b).ok_or_else(|| match relop {
             // a > b  ≡  b - a < 0 — re-emit with operands swapped.
-            ">" | "<=" => {
-                return Err(err(
-                    format!("relop `{relop}` not directly testable; rewrite with < or >="),
-                    at,
-                ))
-            }
-            other => return Err(err(format!("unknown relop `{other}`"), at)),
+            ">" | "<=" => err(
+                format!("relop `{relop}` not directly testable; rewrite with < or >="),
+                at,
+            ),
+            other => err(format!("unknown relop `{other}`"), at),
         })
     }
-}
-
-enum RegOrConst {
-    Reg(Operand),
-    Const(u64),
 }
 
 /// Parses and lowers a YALLL program for machine `m`.
@@ -243,8 +218,12 @@ pub fn parse_with_limits(
                     lower.declared.push(name);
                 }
             }
-            "move" | "const" | "add" | "sub" | "and" | "or" | "xor" | "inc" | "dec" | "not"
-            | "neg" | "shl" | "shr" | "sar" | "rol" | "ror" | "load" | "stor" => {
+            mn if matches!(
+                mn,
+                "move" | "const" | "add" | "sub" | "and" | "or" | "xor" | "inc" | "dec" | "not"
+                    | "neg" | "load" | "stor"
+            ) || ShiftOp::from_name(mn).is_some() =>
+            {
                 let parts: Vec<&str> = args.split(',').map(|s| s.trim()).collect();
                 lower_data_op(&mut lower, &mnemonic, &parts, at)?;
             }
@@ -391,22 +370,6 @@ fn lower_data_op(
             let v = parse_int(parts[1]).ok_or_else(|| err("bad constant", at))?;
             lower.b.ldi(d, v);
         }
-        "add" | "sub" | "and" | "or" | "xor" => {
-            need(3)?;
-            let op = match mn {
-                "add" => AluOp::Add,
-                "sub" => AluOp::Sub,
-                "and" => AluOp::And,
-                "or" => AluOp::Or,
-                _ => AluOp::Xor,
-            };
-            let d = lower.operand(parts[0], at)?;
-            let a = lower.operand(parts[1], at)?;
-            match lower.roc(parts[2], at)? {
-                RegOrConst::Reg(r) => lower.b.alu(op, d, a, r),
-                RegOrConst::Const(c) => lower.b.alu_imm(op, d, a, c),
-            }
-        }
         "inc" | "dec" => {
             need(1)?;
             let d = lower.operand(parts[0], at)?;
@@ -420,20 +383,6 @@ fn lower_data_op(
             let op = if mn == "not" { AluOp::Not } else { AluOp::Neg };
             lower.b.alu_un(op, d, a);
         }
-        "shl" | "shr" | "sar" | "rol" | "ror" => {
-            need(3)?;
-            let op = match mn {
-                "shl" => ShiftOp::Shl,
-                "shr" => ShiftOp::Shr,
-                "sar" => ShiftOp::Sar,
-                "rol" => ShiftOp::Rol,
-                _ => ShiftOp::Ror,
-            };
-            let d = lower.operand(parts[0], at)?;
-            let a = lower.operand(parts[1], at)?;
-            let n = parse_int(parts[2]).ok_or_else(|| err("bad shift amount", at))?;
-            lower.b.shift(op, d, a, n);
-        }
         "load" => {
             need(2)?;
             let d = lower.operand(parts[0], at)?;
@@ -446,7 +395,22 @@ fn lower_data_op(
             let a = lower.operand(parts[1], at)?;
             lower.b.store(a, s);
         }
-        _ => unreachable!(),
+        // The binary ALU operations and the shifts.
+        _ => {
+            need(3)?;
+            let d = lower.operand(parts[0], at)?;
+            let a = lower.operand(parts[1], at)?;
+            if let Some(op) = ShiftOp::from_name(mn) {
+                let n = parse_int(parts[2]).ok_or_else(|| err("bad shift amount", at))?;
+                lower.b.shift(op, d, a, n);
+            } else {
+                let op = AluOp::from_name(mn).expect("the dispatch passes only data mnemonics");
+                match lower.roc(parts[2], at)? {
+                    RegOrImm::Reg(r) => lower.b.alu(op, d, a, r),
+                    RegOrImm::Imm(c) => lower.b.alu_imm(op, d, a, c),
+                }
+            }
+        }
     }
     Ok(())
 }

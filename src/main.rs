@@ -438,6 +438,11 @@ fn machine_of(args: &Args) -> Result<MachineDesc, String> {
         m.validate().map_err(|e| e.to_string())?;
         return Ok(m);
     }
+    reference_machine(args)
+}
+
+/// The reference machine `--machine` names (default hm1).
+fn reference_machine(args: &Args) -> Result<MachineDesc, String> {
     let name = args.machine.as_deref().unwrap_or("hm1");
     mcc::machine::machines::by_name(name).ok_or_else(|| format!("unknown machine `{name}`"))
 }
@@ -562,26 +567,14 @@ fn campaign_command(args: &Args) -> Result<(), String> {
     let journal = std::path::Path::new(&journal);
 
     let (jobs, title): (Vec<mcc::harness::Job>, String) = match which {
-        "e9" => {
-            let trials = args.trials.unwrap_or(1000) as usize;
-            (
-                bc::e9_jobs(trials),
-                format!("E9: dependability under fault injection ({trials} trials/row)"),
-            )
-        }
-        "e10" => {
-            let trials = args.trials.unwrap_or(250);
-            (
-                bc::e10_jobs(trials),
-                format!("E10: differential-fuzzing robustness ({trials} trials/cell)"),
-            )
-        }
+        "e9" => (bc::e9_jobs(args.trials.unwrap_or(1000) as usize), bc::E9_TITLE.into()),
+        "e10" => (bc::e10_jobs(args.trials.unwrap_or(250)), bc::E10_TITLE.into()),
         "fuzz" => {
             let trials = args.trials.unwrap_or(256);
-            let machine = args.machine.as_deref().unwrap_or("hm1");
+            let machine = reference_machine(args)?;
             (
-                bc::fuzz_jobs(seed, trials, machine),
-                format!("fuzz campaign on {machine} ({trials} trials/frontend)"),
+                bc::fuzz_jobs(seed, trials, &machine),
+                format!("fuzz campaign on {} ({trials} trials/frontend)", machine.name),
             )
         }
         other => return Err(format!("campaign: unknown experiment `{other}`")),

@@ -126,3 +126,35 @@ fn chaos_mode_degrades_visibly_and_still_finishes() {
     assert_ne!(bytes.last(), Some(&b'\n'), "chaos must tear the journal tail");
     fs::remove_file(&path).ok();
 }
+
+/// Runs `mcc campaign <args>` with its journal in the temp directory.
+fn campaign_cli(name: &str, args: &[&str]) -> std::process::Output {
+    let journal = scratch(name);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mcc"))
+        .arg("campaign")
+        .args(args)
+        .args(["--jobs", "2", "--journal"])
+        .arg(&journal)
+        .output()
+        .expect("mcc runs");
+    let _ = fs::remove_file(&journal);
+    out
+}
+
+#[test]
+fn campaign_cli_resolves_the_machine_and_titles_tables_like_the_exp_binaries() {
+    let out = campaign_cli("cli-fuzz", &["fuzz", "--machine", "vertica", "--trials", "1"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("fuzz campaign on VM-1 (1 trials/frontend)"), "{stdout}");
+
+    let out = campaign_cli("cli-bogus", &["fuzz", "--machine", "bogus", "--trials", "1"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown machine `bogus`"), "{stderr}");
+
+    let out = campaign_cli("cli-e10", &["e10", "--trials", "1"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains(bc::E10_TITLE), "{stdout}");
+}
