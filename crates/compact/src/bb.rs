@@ -42,8 +42,8 @@ impl<'a> Search<'a> {
         // Earliest slot from scheduled predecessors; prune when even the
         // earliest placement cannot beat the incumbent.
         let mut e = 0usize;
-        for &(i, kind) in self.g.preds(j) {
-            e = e.max(placed[i] + kind.min_distance());
+        for p in self.g.preds(j) {
+            e = e.max(placed[p.from] + p.kind.min_distance());
         }
         if e + self.below[j] + 1 >= self.best_len {
             return;
