@@ -3,6 +3,9 @@
 //! without the depth guard, so this one request overflowed a worker's
 //! stack and aborted the whole server.
 //!
+//! The answer quotes a window around the offending span, not the whole
+//! 40 KB line.
+//!
 //! Its own test binary on purpose: a regression aborts the process,
 //! which would take every other test of the binary down with it.
 
@@ -22,6 +25,8 @@ fn deeply_nested_assertion_is_a_400_and_the_server_survives() {
     let error = Response::field_str(&resp, "error").expect("an error field");
     assert!(error.contains("bad assertion:"), "{error}");
     assert!(error.contains("nesting deeper than 64 levels"), "{error}");
+    // The excerpt quotes a window of the 40 KB line, not the line.
+    assert!(error.len() < 1024, "{} bytes of error", error.len());
 
     let ping = server.handle_line("{\"op\":\"ping\"}\n", "test").to_line();
     assert_eq!(Response::field_num(&ping, "code"), Some(200), "{ping}");
