@@ -6,7 +6,7 @@
 //! worker count or cache temperature — `run_campaign` orders outcomes
 //! by input job, and every byte a table can print is excluded from the
 //! cache's volatile fields — so `exp_all | diff` against a warm rerun
-//! must be empty (CI enforces this). Supervision and cache telemetry go
+//! must be empty (`tests/exp_all_cache.rs` checks it). Supervision and cache telemetry go
 //! to stderr.
 //!
 //! ```text

@@ -992,8 +992,8 @@ fn chaos_proxy_command(args: &Args) -> Result<(), String> {
 }
 
 /// `mcc cache stats|clear`: inspect or wipe the on-disk artifact store.
-/// The "lifetime:" line is stable and greppable — CI parses it to assert
-/// a warmed cache actually served hits.
+/// The "lifetime:" line is stable and greppable; tests read the same
+/// counters through `mcc_cache::read_stats`.
 fn cache_command(args: &Args) -> Result<(), String> {
     let dir = mcc::cache::default_dir();
     match args.positional.first().map(String::as_str) {

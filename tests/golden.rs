@@ -4,12 +4,12 @@
 //!
 //! Each table is rendered **twice** in the same process — the second
 //! render is served by the compilation cache — and both renders must
-//! equal the golden bytes. Together with the CI cache job (which diffs a
-//! cold-process `exp_all` against a warm-process rerun) this pins the
-//! cache's core contract: a hit is indistinguishable from a compile.
+//! equal the golden bytes. Together with `crates/bench/tests/exp_all_cache.rs`
+//! (which diffs a cold-process `exp_all` against a warm-process rerun) this
+//! pins the cache's core contract: a hit is indistinguishable from a compile.
 //!
 //! E9 and E10 are excluded: they are seeded campaigns whose tables are
-//! covered by `tests/campaign.rs` and the `exp_all` CI diff, and their
+//! covered by `tests/campaign.rs` and that `exp_all` diff, and their
 //! trial counts make them too slow for a table-per-commit golden.
 //!
 //! To regenerate after an intentional table change:
