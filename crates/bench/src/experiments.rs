@@ -771,7 +771,7 @@ pub fn e8() -> Table {
 /// Watchdog budget for E9: generous against the ≤8-op poll spacing the
 /// campaign compiles its kernels with, tight against corrupted poll-less
 /// loops.
-const E9_WATCHDOG: u64 = 512;
+pub const E9_WATCHDOG: u64 = 512;
 
 /// Runs one dependability campaign: kernel `k` under `trials` seeded
 /// single-fault runs, with the control store parity-protected or raw.
@@ -839,7 +839,7 @@ pub fn e9_campaign(
 /// The compiler every E9 row uses: poll points let the watchdog
 /// distinguish a hung machine from a working loop (§2.1.5's polling,
 /// reused as a liveness heartbeat).
-pub(crate) fn e9_compiler() -> Compiler {
+pub fn e9_compiler() -> Compiler {
     let opts = CompilerOptions {
         poll_interval: Some(8),
         ..Default::default()
