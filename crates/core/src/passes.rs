@@ -214,17 +214,9 @@ type Taint = BTreeSet<RegRef>;
 /// visited in layout order with taints joined), which is sound for the
 /// structured CFGs the frontends emit.
 pub fn trap_safety(m: &MachineDesc, f: &MirFunction) -> Vec<Warning> {
+    // Taints of the registers written so far. A register not written yet
+    // holds its entry value: a macro-visible one depends on itself.
     let mut taint: BTreeMap<RegRef, Taint> = BTreeMap::new();
-    // Entry: every macro-visible register depends on itself.
-    for (fi, file) in m.files.iter().enumerate() {
-        if file.macro_visible {
-            for i in 0..file.count {
-                let r = RegRef::new(mcc_machine::ids::FileId(fi as u16), i);
-                taint.insert(r, BTreeSet::from([r]));
-            }
-        }
-    }
-
     let mut warnings = Vec::new();
     let mut pending: Vec<(RegRef, String)> = Vec::new();
 
@@ -250,8 +242,12 @@ pub fn trap_safety(m: &MachineDesc, f: &MirFunction) -> Vec<Warning> {
             let mut src_taint: Taint = BTreeSet::new();
             for s in &op.srcs {
                 if let Operand::Reg(r) = s {
-                    if let Some(t) = taint.get(r) {
-                        src_taint.extend(t.iter().copied());
+                    match taint.get(r) {
+                        Some(t) => src_taint.extend(t.iter().copied()),
+                        None if is_macro_visible(m, *r) => {
+                            src_taint.insert(*r);
+                        }
+                        None => {}
                     }
                 }
             }
@@ -287,6 +283,31 @@ mod tests {
         let w = trap_safety(&m, &f);
         assert_eq!(w.len(), 1);
         assert!(w[0].message.contains("non-idempotently"));
+    }
+
+    #[test]
+    fn incread_through_a_copy_flagged_on_wm64() {
+        // R9 := R255; R255 := R9 + 1; MAR := R255; read. R255's entry
+        // value reaches its new value through R9, and R200 := 5 is
+        // idempotent: only R255 is flagged.
+        let m = mcc_machine::machines::wm64();
+        let reg = |i| RegRef::new(m.find_file("R").unwrap(), i);
+        let (r9, r200, r255) = (
+            Operand::Reg(reg(9)),
+            Operand::Reg(reg(200)),
+            Operand::Reg(reg(255)),
+        );
+        let mar = Operand::Reg(m.special.mar.unwrap());
+        let mut b = FuncBuilder::new("incread_wide");
+        b.mov(r9, r255);
+        b.alu_un(AluOp::Inc, r255, r9);
+        b.ldi(r200, 5);
+        b.mov(mar, r255);
+        b.push(MirOp::new(Semantic::MemRead));
+        b.terminate(Term::Halt);
+        let w = trap_safety(&m, &b.finish());
+        assert_eq!(w.len(), 1, "{w:?}");
+        assert!(w[0].message.contains(&reg(255).to_string()), "{w:?}");
     }
 
     #[test]

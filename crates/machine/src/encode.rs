@@ -111,10 +111,24 @@ pub fn decode_checked(m: &MachineDesc, word: u128, check: u8) -> Result<MicroIns
     decode_instr(m, word)
 }
 
+/// The `n`th register class among `t`'s sources (immediates skipped).
+fn src_class(t: &MicroOpTemplate, n: u8) -> Option<crate::ids::ClassId> {
+    t.srcs
+        .iter()
+        .filter_map(|s| match s {
+            SrcSpec::Class(c) => Some(*c),
+            SrcSpec::Imm { .. } => None,
+        })
+        .nth(n as usize)
+}
+
+/// The value `src` puts in its field for `op`, whose branch target (if
+/// any) is already resolved to `target`.
 fn field_value(
     m: &MachineDesc,
     t: &MicroOpTemplate,
     op: &BoundOp,
+    target: Option<u32>,
     src: FieldValueSrc,
 ) -> Result<u64, EncodeError> {
     match src {
@@ -131,15 +145,7 @@ fn field_value(
                 .ok_or_else(|| EncodeError::MissingOperand(format!("`{}`: dst not in class", t.name)))
         }
         FieldValueSrc::Src(n) => {
-            let classes: Vec<_> = t
-                .srcs
-                .iter()
-                .filter_map(|s| match s {
-                    SrcSpec::Class(c) => Some(*c),
-                    SrcSpec::Imm { .. } => None,
-                })
-                .collect();
-            let class = *classes.get(n as usize).ok_or_else(|| {
+            let class = src_class(t, n).ok_or_else(|| {
                 EncodeError::MissingOperand(format!("`{}`: src {n} class", t.name))
             })?;
             let reg = *op.srcs.get(n as usize).ok_or_else(|| {
@@ -152,8 +158,7 @@ fn field_value(
         FieldValueSrc::Imm => op
             .imm
             .ok_or_else(|| EncodeError::MissingOperand(format!("`{}`: immediate", t.name))),
-        FieldValueSrc::Target => op
-            .target
+        FieldValueSrc::Target => target
             .map(u64::from)
             .ok_or_else(|| EncodeError::MissingOperand(format!("`{}`: target", t.name))),
         FieldValueSrc::Cond => {
@@ -173,34 +178,43 @@ fn field_value(
 /// Fails when a value overflows its field, when two packed operations drive
 /// a field inconsistently, or when the word exceeds 128 bits.
 pub fn encode_instr(m: &MachineDesc, mi: &MicroInstr) -> Result<u128, EncodeError> {
+    encode_resolved(m, mi, |t| t)
+}
+
+/// Encodes `mi` with each branch target mapped through `resolve`. Fields
+/// do not overlap, so a field is already assigned exactly when one of its
+/// bits is claimed, and its value is then read back from the word.
+fn encode_resolved(
+    m: &MachineDesc,
+    mi: &MicroInstr,
+    resolve: impl Fn(u32) -> u32,
+) -> Result<u128, EncodeError> {
     let bits = m.control_word_bits();
     if bits > 128 {
         return Err(EncodeError::WordTooWide(bits));
     }
     let mut word: u128 = 0;
-    let mut assigned: Vec<Option<u64>> = vec![None; m.control.len()];
+    let mut claimed: u128 = 0;
     for op in &mi.ops {
         let t = m.template(op.template);
+        let target = op.target.map(&resolve);
         for fs in &t.fields {
             let field = m.control.get(fs.field).expect("validated field");
-            let v = field_value(m, t, op, fs.value)?;
+            let v = field_value(m, t, op, target, fs.value)?;
             if v > field.max_value() {
                 return Err(EncodeError::ValueTooWide {
                     field: field.name.clone(),
                     value: v,
                 });
             }
-            match assigned[fs.field.index()] {
-                Some(prev) if prev != v => {
-                    return Err(EncodeError::FieldCollision {
-                        field: field.name.clone(),
-                    })
-                }
-                Some(_) => {}
-                None => {
-                    assigned[fs.field.index()] = Some(v);
-                    word |= (v as u128) << field.offset;
-                }
+            let mask = u128::from(field.max_value()) << field.offset;
+            if claimed & mask == 0 {
+                claimed |= mask;
+                word |= (v as u128) << field.offset;
+            } else if extract(word, m, fs.field) != v {
+                return Err(EncodeError::FieldCollision {
+                    field: field.name.clone(),
+                });
             }
         }
     }
@@ -279,15 +293,7 @@ pub fn decode_instr(m: &MachineDesc, word: u128) -> Result<MicroInstr, DecodeErr
                     }
                 }
                 FieldValueSrc::Src(n) => {
-                    let classes: Vec<_> = t
-                        .srcs
-                        .iter()
-                        .filter_map(|s| match s {
-                            SrcSpec::Class(c) => Some(*c),
-                            SrcSpec::Imm { .. } => None,
-                        })
-                        .collect();
-                    let Some(&class) = classes.get(n as usize) else {
+                    let Some(class) = src_class(t, n) else {
                         return Err(DecodeError::MalformedTemplate(t.name.clone()));
                     };
                     match m.class(class).member_at(extract(word, m, fs.field)) {
@@ -355,7 +361,12 @@ pub fn decode_instr(m: &MachineDesc, word: u128) -> Result<MicroInstr, DecodeErr
 ///
 /// Propagates any [`EncodeError`] from the individual instructions.
 pub fn encode_program(m: &MachineDesc, p: &MicroProgram) -> Result<Vec<u128>, EncodeError> {
-    p.flatten().iter().map(|mi| encode_instr(m, mi)).collect()
+    let addrs = p.block_addresses();
+    p.blocks
+        .iter()
+        .flat_map(|b| &b.instrs)
+        .map(|mi| encode_resolved(m, mi, |t| addrs[t as usize]))
+        .collect()
 }
 
 /// Encodes a whole program into `(control word, parity check)` pairs, the
