@@ -10,7 +10,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use mcc_serve::proto::MAX_FRAME_BYTES;
-use mcc_serve::tcp::{read_frame_into, write_frame, FrameRead};
+use mcc_serve::tcp::{read_frame_buf, write_frame, FrameBufRead};
 
 thread_local! {
     /// Reusable read buffer for [`line_call`]: the supervisor heartbeats
@@ -106,11 +106,11 @@ pub fn line_call(addr: &str, line: &str, timeout: Duration) -> Result<String, St
     CALL_BUF.with(|b| {
         let mut buf = b.borrow_mut();
         mcc_serve::buf::shrink_reusable(&mut buf);
-        match read_frame_into(&mut reader, &mut buf, MAX_FRAME_BYTES) {
-            Ok(FrameRead::Frame(resp)) => Ok(resp),
-            Ok(FrameRead::Eof) => Err(format!("{addr}: closed mid-response")),
-            Ok(FrameRead::TimedOut) => Err(format!("{addr}: read timed out after {timeout:?}")),
-            Ok(FrameRead::Oversized) => Err(format!("{addr}: oversized response frame")),
+        match read_frame_buf(&mut reader, &mut buf, MAX_FRAME_BYTES) {
+            Ok(FrameBufRead::Frame) => Ok(String::from_utf8_lossy(&buf).into_owned()),
+            Ok(FrameBufRead::Eof) => Err(format!("{addr}: closed mid-response")),
+            Ok(FrameBufRead::TimedOut) => Err(format!("{addr}: read timed out after {timeout:?}")),
+            Ok(FrameBufRead::Oversized) => Err(format!("{addr}: oversized response frame")),
             Err(e) => Err(format!("{addr}: read: {e}")),
         }
     })

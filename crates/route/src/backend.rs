@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use mcc_harness::backoff::{self, BackoffConfig};
 use mcc_serve::proto::{self, Envelope, Ident, MAX_FRAME_BYTES};
 use mcc_serve::proto2::{self, FrameType};
-use mcc_serve::tcp::{read_frame_into, write_frame, FrameRead, WireSubmission};
+use mcc_serve::tcp::{read_frame_buf, write_frame, FrameBufRead, WireSubmission};
 use mcc_serve::Server;
 
 use crate::RouteCounters;
@@ -264,23 +264,24 @@ impl TcpBackend {
         // trip left buffered is a stale duplicate, and this trip's
         // discard loop skips it. A failed trip drops the whole
         // connection, so `buf` never carries a torn partial forward.
-        conn.buf.clear();
         loop {
-            let resp = match read_frame_into(&mut conn.r, &mut conn.buf, MAX_FRAME_BYTES)
+            conn.buf.clear();
+            match read_frame_buf(&mut conn.r, &mut conn.buf, MAX_FRAME_BYTES)
                 .map_err(|e| format!("read: {e}"))?
             {
-                FrameRead::Frame(resp) => resp,
-                FrameRead::Eof => return Err("connection closed mid-response".to_string()),
-                FrameRead::TimedOut => {
+                FrameBufRead::Frame => {}
+                FrameBufRead::Eof => return Err("connection closed mid-response".to_string()),
+                FrameBufRead::TimedOut => {
                     return Err(format!(
                         "read timed out after {:?} (black-holed or stalled peer)",
                         self.read_timeout.unwrap_or_default()
                     ))
                 }
-                FrameRead::Oversized => return Err("oversized response frame".to_string()),
-            };
+                FrameBufRead::Oversized => return Err("oversized response frame".to_string()),
+            }
+            let resp = String::from_utf8_lossy(&conn.buf);
             let Some(ident) = ident else {
-                return Ok(resp);
+                return Ok(resp.into_owned());
             };
             match proto::unwrap_envelope(&resp) {
                 Envelope::Enveloped { cid, rid, body } if cid == ident.cid && rid == ident.rid => {

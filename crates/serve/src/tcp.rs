@@ -161,35 +161,24 @@ impl LineHandler for Server {
     }
 }
 
-/// The outcome of reading one frame from a socket with a length cap.
-#[derive(Debug)]
-pub enum FrameRead {
-    /// One complete newline-terminated frame (invalid UTF-8 replaced, so
-    /// corruption surfaces as a parse `400`, never an I/O error).
-    Frame(String),
-    /// Clean end of stream (a partial trailing frame is discarded — a torn
-    /// frame is never processed as if it were complete).
-    Eof,
-    /// The line exceeded the cap. The caller must answer with a structured
-    /// `400` and close the connection — there is no bounded way to resync.
-    Oversized,
-    /// The read timed out (`WouldBlock`/`TimedOut` from a socket deadline).
-    TimedOut,
-}
-
-/// [`read_frame_into`] minus the `String`: the frame's bytes (including
-/// the newline) are left in `buf` for the caller to borrow, so a
-/// connection loop can reuse one buffer for its whole lifetime instead
-/// of allocating a `String` per request.
+/// The outcome of reading one newline-terminated frame from a socket
+/// with a length cap. The frame's bytes (including the newline) are
+/// left in the caller's buffer to borrow, so a connection loop can
+/// reuse one buffer for its whole lifetime instead of allocating per
+/// request.
 #[derive(Debug)]
 pub enum FrameBufRead {
     /// One complete frame's bytes are in the caller's buffer.
     Frame,
-    /// See [`FrameRead::Eof`].
+    /// Clean end of stream (a partial trailing frame is discarded — a
+    /// torn frame is never processed as if it were complete).
     Eof,
-    /// See [`FrameRead::Oversized`]; the buffer has been cleared.
+    /// The line exceeded the cap; the buffer has been cleared. The
+    /// caller must answer with a structured `400` and close the
+    /// connection — there is no bounded way to resync.
     Oversized,
-    /// See [`FrameRead::TimedOut`]; partial bytes stay in the buffer.
+    /// The read timed out (`WouldBlock`/`TimedOut` from a socket
+    /// deadline); partial bytes stay in the buffer.
     TimedOut,
 }
 
@@ -245,30 +234,6 @@ pub fn read_frame_buf(
             return Ok(FrameBufRead::Frame);
         }
     }
-}
-
-/// Reads one capped frame as an owned `String`, carrying partial-frame
-/// state in `buf` across [`FrameRead::TimedOut`] returns. Built on
-/// [`read_frame_buf`]; callers that can borrow should use that directly.
-///
-/// # Errors
-///
-/// See [`read_frame_buf`].
-pub fn read_frame_into(
-    r: &mut impl BufRead,
-    buf: &mut Vec<u8>,
-    max: usize,
-) -> io::Result<FrameRead> {
-    Ok(match read_frame_buf(r, buf, max)? {
-        FrameBufRead::Frame => {
-            let frame = String::from_utf8_lossy(buf).into_owned();
-            buf.clear();
-            FrameRead::Frame(frame)
-        }
-        FrameBufRead::Eof => FrameRead::Eof,
-        FrameBufRead::Oversized => FrameRead::Oversized,
-        FrameBufRead::TimedOut => FrameRead::TimedOut,
-    })
 }
 
 /// Writes one whole response frame: loops until every byte is accepted,
@@ -505,13 +470,8 @@ fn v2_connection(
     loop {
         // Drain every complete frame already buffered.
         while !fatal {
-            let bait = acc.iter().take_while(|b| **b == b'\n').count();
-            if bait > 0 {
-                acc.drain(..bait);
-            }
-            let total = match proto2::frame_len(&acc) {
-                Ok(Some(t)) if acc.len() >= t => t,
-                Ok(_) => break, // need more bytes.
+            let (bait, len) = match proto2::next_frame(&acc) {
+                Ok(found) => found,
                 Err(fault) => {
                     match &fault {
                         FrameFault::Oversized(_) => handler.on_oversized(),
@@ -522,6 +482,8 @@ fn v2_connection(
                     break;
                 }
             };
+            acc.drain(..bait);
+            let Some(len) = len else { break }; // need more bytes.
             let frame = match proto2::decode_frame(&acc) {
                 Ok((f, _)) => f,
                 Err(proto2::DecodeErr::Corrupt(reason)) => {
@@ -532,7 +494,7 @@ fn v2_connection(
                 }
                 Err(proto2::DecodeErr::Incomplete) => unreachable!("length was checked"),
             };
-            acc.drain(..total);
+            acc.drain(..len);
             handler.on_v2_frame();
             match frame.ftype {
                 // Repeated hellos are acked idempotently — a chaos
@@ -732,15 +694,14 @@ mod tests {
             interrupt_next: true,
         });
         let mut buf = Vec::new();
-        match read_frame_into(&mut r, &mut buf, 1024).unwrap() {
-            FrameRead::Frame(f) => assert_eq!(f, "{\"op\":\"ping\"}\n"),
-            other => panic!("wrong read: {other:?}"),
+        for want in ["{\"op\":\"ping\"}\n", "{\"op\":\"stats\"}\n"] {
+            match read_frame_buf(&mut r, &mut buf, 1024).unwrap() {
+                FrameBufRead::Frame => assert_eq!(buf, want.as_bytes()),
+                other => panic!("wrong read: {other:?}"),
+            }
+            buf.clear();
         }
-        match read_frame_into(&mut r, &mut buf, 1024).unwrap() {
-            FrameRead::Frame(f) => assert_eq!(f, "{\"op\":\"stats\"}\n"),
-            other => panic!("wrong read: {other:?}"),
-        }
-        assert!(matches!(read_frame_into(&mut r, &mut buf, 1024).unwrap(), FrameRead::Eof));
+        assert!(matches!(read_frame_buf(&mut r, &mut buf, 1024).unwrap(), FrameBufRead::Eof));
     }
 
     #[test]
@@ -749,15 +710,17 @@ mod tests {
         data.extend_from_slice(b"\n{\"op\":\"ping\"}\n");
         let mut r = BufReader::new(io::Cursor::new(data));
         let mut buf = Vec::new();
-        assert!(matches!(read_frame_into(&mut r, &mut buf, 64).unwrap(), FrameRead::Oversized));
+        assert!(matches!(read_frame_buf(&mut r, &mut buf, 64).unwrap(), FrameBufRead::Oversized));
+        assert!(buf.is_empty(), "an oversized line leaves nothing behind");
     }
 
     #[test]
     fn read_frame_discards_torn_trailing_frame() {
         let mut r = BufReader::new(io::Cursor::new(b"{\"op\":\"ping\"}\n{\"op\":\"st".to_vec()));
         let mut buf = Vec::new();
-        assert!(matches!(read_frame_into(&mut r, &mut buf, 1024).unwrap(), FrameRead::Frame(_)));
-        assert!(matches!(read_frame_into(&mut r, &mut buf, 1024).unwrap(), FrameRead::Eof));
+        assert!(matches!(read_frame_buf(&mut r, &mut buf, 1024).unwrap(), FrameBufRead::Frame));
+        buf.clear();
+        assert!(matches!(read_frame_buf(&mut r, &mut buf, 1024).unwrap(), FrameBufRead::Eof));
     }
 
     #[test]
