@@ -284,7 +284,7 @@ mod tests {
     /// The acceptance pair for E9: a parity-protected store turns control
     /// corruption into detect → scrub → restart recoveries, and a raw
     /// store produces watchdog-caught hangs. Small trial count so the
-    /// suite stays fast; the `exp_e9` binary runs the full 1000.
+    /// suite stays fast; `mcc campaign e9` runs the full 1000.
     #[test]
     fn e9_protected_store_recovers_and_raw_store_hangs() {
         const TRIALS: usize = 120;
@@ -331,7 +331,7 @@ mod tests {
 
     /// The acceptance claim for E10: a healthy tree fuzzes clean on every
     /// machine × frontend cell. Small trial count so the suite stays
-    /// fast; the `exp_e10` binary runs the full campaign.
+    /// fast; `mcc campaign e10` runs the full campaign.
     #[test]
     fn e10_healthy_tree_is_all_zero() {
         const TRIALS: u64 = 15;

@@ -16,7 +16,8 @@
 //!
 //! Campaigns are fully deterministic: the per-trial RNG is derived from
 //! `(seed, language, trial)` alone, so `mcc fuzz --seed N` reproduces
-//! bit-identical findings and the `exp_e10` robustness table is stable.
+//! bit-identical findings and the E10 robustness table (`mcc campaign
+//! e10`) is stable.
 
 pub mod gen;
 pub mod mutate;
@@ -132,7 +133,7 @@ impl FuzzReport {
         self.reports.iter().map(|r| r.counts.iter().sum::<u64>()).sum()
     }
 
-    /// Deterministic findings-per-class table (the `exp_e10` payload).
+    /// Deterministic findings-per-class table (the E10 payload).
     pub fn table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("{:<10}", "frontend"));
