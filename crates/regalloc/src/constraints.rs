@@ -14,6 +14,7 @@
 use std::collections::HashMap;
 
 use mcc_machine::{FileId, MachineDesc, RegClass, RegRef, Semantic, SrcSpec};
+use mcc_mir::liveness::ones;
 use mcc_mir::operand::{Operand, VReg};
 use mcc_mir::{MirFunction, MirOp, Term};
 
@@ -27,19 +28,6 @@ fn reserved(m: &MachineDesc, r: RegRef) -> bool {
         || Some(r) == m.special.flags
         || Some(r.file) == m.scratch_file
         || m.special.flags.map(|f| f.file) == Some(r.file)
-}
-
-/// The bits set in `words`, ascending.
-fn ones(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
-    words.enumerate().flat_map(|(i, mut w)| {
-        std::iter::from_fn(move || {
-            (w != 0).then(|| {
-                let b = w.trailing_zeros() as usize;
-                w &= w - 1;
-                i * 64 + b
-            })
-        })
-    })
 }
 
 /// Every vreg's admissible registers: one bitset per vreg over the
