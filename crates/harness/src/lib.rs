@@ -52,7 +52,7 @@ pub use backoff::BackoffConfig;
 pub use breaker::{Admit, Breaker, BreakerBank, BreakerConfig};
 pub use chaos::{ChaosPlan, Fault};
 pub use journal::{Header, JobRecord, JobStatus, Journal, JournalError};
-pub use pool::{PoolHandle, Task, TaskOutcome, WorkerPool};
+pub use pool::{ReadyQueue, Task, TaskOutcome, WorkerPool};
 pub use restart::{RestartDecision, RestartPolicy, RestartTracker};
 
 /// SplitMix64 — the toolkit's standard seedable mixer, shared by backoff
@@ -412,7 +412,10 @@ fn supervise(
         None => Duration::from_millis(50),
     };
 
-    let mut pool: WorkerPool<Result<Vec<String>, String>> = WorkerPool::new(workers);
+    let (result_tx, results) = mpsc::channel();
+    let pool = WorkerPool::new(workers, VecDeque::new(), move |token, outcome| {
+        let _ = result_tx.send((token, outcome));
+    });
 
     let mut breakers = BreakerBank::new(cfg.breaker);
     let mut tick: u64 = 0; // logical time: one tick per attempt resolution
@@ -529,7 +532,7 @@ fn supervise(
                             Box::new(move || (jobs[idx].run)())
                         }
                     };
-                    pool.submit(token, task);
+                    pool.submit(|q| q.push_back((token, task)));
                 }
                 Admit::Reject => {
                     tick += 1;
@@ -547,7 +550,7 @@ fn supervise(
 
         // Collect one result (or time out and fall through to the
         // deadline scan / retry promotion).
-        match pool.recv_timeout(SUPERVISOR_TICK) {
+        match results.recv_timeout(SUPERVISOR_TICK) {
             Ok((token, outcome)) => {
                 // An outcome for an attempt the deadline scan already
                 // resolved without condemning it is dropped.

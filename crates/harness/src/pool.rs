@@ -2,19 +2,24 @@
 //! condemn-and-replace protocol.
 //!
 //! Extracted from the campaign supervisor so that long-running services
-//! (`mcc serve`) and one-shot campaigns (`run_campaign`) dispatch work
-//! through the same machinery. The pool knows nothing about jobs,
-//! retries, breakers, or journals — it runs opaque closures and reports
-//! `(token, outcome)` pairs; all policy lives in the caller:
+//! (`mcc serve`) and one-shot campaigns (`run_campaign`) run work on the
+//! same machinery. The pool knows nothing about jobs, retries, breakers,
+//! or journals. Its caller hands it a ready queue and an outcome sink: a
+//! free worker pops the queue's next task itself and reports the
+//! `(token, outcome)` pair to the sink on its own thread. All policy
+//! lives in the caller:
 //!
+//! * the queue decides the order of service ([`ReadyQueue`]): the
+//!   campaign's `VecDeque` is FIFO, the daemon's weighted-fair queue
+//!   serves the smallest virtual finish first;
 //! * every task runs behind [`std::panic::catch_unwind`], so a panicking
 //!   task is reported, never fatal;
 //! * a **condemned** token ([`WorkerPool::condemn`]) marks an attempt the
 //!   caller has given up on (deadline exceeded) while a worker is still
 //!   running it: a replacement worker is spawned immediately, and when
 //!   the stalled thread eventually finishes it notices the condemnation
-//!   and exits without reporting — threads cannot be killed safely, but
-//!   they can be made irrelevant;
+//!   and exits without reaching the sink — threads cannot be killed
+//!   safely, but they can be made irrelevant;
 //! * [`WorkerPool::shutdown`] wakes idle workers and joins them, unless a
 //!   condemned thread may still be stalled inside a task, in which case
 //!   handles are dropped so shutdown never inherits the stall.
@@ -22,9 +27,7 @@
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// A unit of pool work: an opaque closure producing the caller's result
 /// type.
@@ -50,67 +53,50 @@ pub fn panic_text(p: &(dyn Any + Send)) -> String {
     }
 }
 
-/// The ready queue plus the shutdown flag, guarded by one lock.
-type ReadyQueue<T> = Mutex<(VecDeque<(u64, Task<T>)>, bool)>;
+/// The caller's ready queue, which the pool's workers pop directly.
+pub trait ReadyQueue<T>: Send + 'static {
+    /// Takes the next task to run, with the token it was queued under.
+    fn pop(&mut self) -> Option<(u64, Task<T>)>;
+}
 
-struct PoolShared<T: Send> {
-    /// (ready queue, shutdown flag) under one lock, signalled by `cv`.
-    queue: ReadyQueue<T>,
+/// A FIFO queue: tasks run in the order they were pushed.
+impl<T: 'static> ReadyQueue<T> for VecDeque<(u64, Task<T>)> {
+    fn pop(&mut self) -> Option<(u64, Task<T>)> {
+        self.pop_front()
+    }
+}
+
+/// Where a worker reports each outcome, on its own thread.
+type Sink<T> = Box<dyn Fn(u64, TaskOutcome<T>) + Send + Sync>;
+
+struct PoolShared<T, Q> {
+    /// (the caller's ready queue, shutdown flag) under one lock,
+    /// signalled by `cv`.
+    ready: Mutex<(Q, bool)>,
     cv: Condvar,
     /// Tokens being run, each with whether it is condemned: a worker
     /// finishing a condemned one exits without reporting (its
     /// replacement is already running). Entered under the queue lock,
     /// so a token is always queued, running or finished.
     running: Mutex<HashMap<u64, bool>>,
+    sink: Sink<T>,
 }
 
-/// A fixed-size pool of worker threads executing caller-tokenized tasks.
-pub struct WorkerPool<T: Send + 'static> {
-    shared: Arc<PoolShared<T>>,
-    tx: mpsc::Sender<(u64, TaskOutcome<T>)>,
-    rx: mpsc::Receiver<(u64, TaskOutcome<T>)>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+/// A fixed-size pool of worker threads serving one caller-owned ready
+/// queue of tokenized tasks.
+pub struct WorkerPool<T, Q> {
+    shared: Arc<PoolShared<T, Q>>,
+    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-/// A cloneable, thread-safe submission handle onto a [`WorkerPool`].
-///
-/// The pool itself owns the result [`mpsc::Receiver`] and so cannot be
-/// shared across threads; a handle carries only the queue side, letting
-/// many producers (`mcc serve` connection threads) feed one pool whose
-/// results a single supervisor drains.
-pub struct PoolHandle<T: Send + 'static> {
-    shared: Arc<PoolShared<T>>,
-}
-
-impl<T: Send + 'static> Clone for PoolHandle<T> {
-    fn clone(&self) -> Self {
-        PoolHandle {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl<T: Send + 'static> PoolHandle<T> {
-    /// Enqueues one task under a caller-chosen token (see
-    /// [`WorkerPool::submit`]).
-    pub fn submit(&self, token: u64, task: Task<T>) {
-        {
-            let mut g = self.shared.queue.lock().unwrap();
-            g.0.push_back((token, task));
-        }
-        self.shared.cv.notify_one();
-    }
-}
-
-fn spawn_worker<T: Send + 'static>(
-    shared: Arc<PoolShared<T>>,
-    tx: mpsc::Sender<(u64, TaskOutcome<T>)>,
+fn spawn_worker<T: Send + 'static, Q: ReadyQueue<T>>(
+    shared: Arc<PoolShared<T, Q>>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || loop {
         let (token, task) = {
-            let mut g = shared.queue.lock().unwrap();
+            let mut g = shared.ready.lock().unwrap();
             loop {
-                if let Some(t) = g.0.pop_front() {
+                if let Some(t) = g.0.pop() {
                     shared.running.lock().unwrap().insert(t.0, false);
                     break t;
                 }
@@ -129,91 +115,73 @@ fn spawn_worker<T: Send + 'static>(
         if shared.running.lock().unwrap().remove(&token) == Some(true) {
             return;
         }
-        if tx.send((token, outcome)).is_err() {
-            return;
-        }
+        (shared.sink)(token, outcome);
     })
 }
 
-impl<T: Send + 'static> WorkerPool<T> {
-    /// Spawns a pool of `workers` threads (clamped to at least 1).
-    pub fn new(workers: usize) -> WorkerPool<T> {
+impl<T: Send + 'static, Q: ReadyQueue<T>> WorkerPool<T, Q> {
+    /// Spawns a pool of `workers` threads (clamped to at least 1) that
+    /// pop `queue` and report every outcome to `sink`.
+    pub fn new(
+        workers: usize,
+        queue: Q,
+        sink: impl Fn(u64, TaskOutcome<T>) + Send + Sync + 'static,
+    ) -> WorkerPool<T, Q> {
         let shared = Arc::new(PoolShared {
-            queue: Mutex::new((VecDeque::new(), false)),
+            ready: Mutex::new((queue, false)),
             cv: Condvar::new(),
             running: Mutex::new(HashMap::new()),
+            sink: Box::new(sink),
         });
-        let (tx, rx) = mpsc::channel();
         let handles = (0..workers.max(1))
-            .map(|_| spawn_worker(Arc::clone(&shared), tx.clone()))
+            .map(|_| spawn_worker(Arc::clone(&shared)))
             .collect();
         WorkerPool {
             shared,
-            tx,
-            rx,
-            handles,
+            handles: Mutex::new(handles),
         }
     }
 
-    /// Enqueues one task under a caller-chosen token. Tokens must be
-    /// unique among in-flight tasks; reuse after resolution is fine.
-    pub fn submit(&self, token: u64, task: Task<T>) {
-        {
-            let mut g = self.shared.queue.lock().unwrap();
-            g.0.push_back((token, task));
-        }
+    /// Enqueues through `push` under the queue's lock, then wakes one
+    /// idle worker. Tokens must be unique among in-flight tasks; reuse
+    /// after resolution is fine.
+    pub fn submit(&self, push: impl FnOnce(&mut Q)) {
+        push(&mut self.shared.ready.lock().unwrap().0);
         self.shared.cv.notify_one();
     }
 
-    /// A cloneable submission handle for producer threads.
-    pub fn handle(&self) -> PoolHandle<T> {
-        PoolHandle {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// Waits up to `timeout` for one task outcome.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying channel errors: `Timeout` when nothing
-    /// resolved in time, `Disconnected` when every worker died (should be
-    /// impossible — panics are contained).
-    pub fn recv_timeout(
-        &self,
-        timeout: Duration,
-    ) -> Result<(u64, TaskOutcome<T>), mpsc::RecvTimeoutError> {
-        self.rx.recv_timeout(timeout)
+    /// Reads or edits the queue under its lock without waking a worker:
+    /// a depth probe, or the removal of a task no worker has taken.
+    pub fn queue<R>(&self, f: impl FnOnce(&mut Q) -> R) -> R {
+        f(&mut self.shared.ready.lock().unwrap().0)
     }
 
     /// Condemns an attempt a worker is still running: its eventual
-    /// result will be discarded, and a replacement worker is spawned
-    /// immediately so the pool's capacity is unaffected by the stalled
-    /// thread. Returns whether it did; a queued or finished token is
-    /// left alone and its outcome reported as usual.
-    pub fn condemn(&mut self, token: u64) -> bool {
+    /// result never reaches the sink, and a replacement worker is
+    /// spawned immediately so the pool's capacity is unaffected by the
+    /// stalled thread. Returns whether it did; a queued or finished token
+    /// is left alone and its outcome reported as usual.
+    pub fn condemn(&self, token: u64) -> bool {
         match self.shared.running.lock().unwrap().get_mut(&token) {
             Some(condemned) if !*condemned => *condemned = true,
             _ => return false,
         }
-        self.handles
-            .push(spawn_worker(Arc::clone(&self.shared), self.tx.clone()));
+        let worker = spawn_worker(Arc::clone(&self.shared));
+        self.handles.lock().unwrap().push(worker);
         true
     }
 
-    /// Shuts the pool down: wakes idle workers, which exit on the flag.
-    /// Workers are joined unless a condemned thread may still be stalled
-    /// inside a task — then handles are dropped, so shutdown never
-    /// inherits the stall.
-    pub fn shutdown(self) {
-        {
-            let mut g = self.shared.queue.lock().unwrap();
-            g.1 = true;
-        }
+    /// Shuts the pool down: wakes idle workers, which drain the queue and
+    /// exit on the flag. Workers are joined unless a condemned thread may
+    /// still be stalled inside a task — then handles are dropped, so
+    /// shutdown never inherits the stall.
+    pub fn shutdown(&self) {
+        self.shared.ready.lock().unwrap().1 = true;
         self.shared.cv.notify_all();
+        let handles = std::mem::take(&mut *self.handles.lock().unwrap());
         let none_condemned = !self.shared.running.lock().unwrap().values().any(|&c| c);
         if none_condemned {
-            for h in self.handles {
+            for h in handles {
                 let _ = h.join();
             }
         }
@@ -223,16 +191,34 @@ impl<T: Send + 'static> WorkerPool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    type FifoPool<T> = WorkerPool<T, VecDeque<(u64, Task<T>)>>;
+    type Outcomes<T> = mpsc::Receiver<(u64, TaskOutcome<T>)>;
+
+    /// A pool over a FIFO queue whose sink sends on a channel.
+    fn fifo_pool<T: Send + 'static>(workers: usize) -> (FifoPool<T>, Outcomes<T>) {
+        let (tx, rx) = mpsc::channel();
+        let pool = WorkerPool::new(workers, VecDeque::new(), move |token, outcome| {
+            let _ = tx.send((token, outcome));
+        });
+        (pool, rx)
+    }
+
+    fn push<T: Send + 'static>(pool: &FifoPool<T>, token: u64, task: Task<T>) {
+        pool.submit(|q| q.push_back((token, task)));
+    }
 
     #[test]
     fn runs_tasks_and_reports_by_token() {
-        let pool: WorkerPool<u64> = WorkerPool::new(3);
+        let (pool, rx) = fifo_pool::<u64>(3);
         for i in 0..10u64 {
-            pool.submit(i, Box::new(move || i * i));
+            push(&pool, i, Box::new(move || i * i));
         }
         let mut got = std::collections::HashMap::new();
         for _ in 0..10 {
-            let (tok, out) = pool.recv_timeout(Duration::from_secs(5)).unwrap();
+            let (tok, out) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
             match out {
                 TaskOutcome::Done(v) => {
                     got.insert(tok, v);
@@ -247,13 +233,13 @@ mod tests {
 
     #[test]
     fn panics_are_contained_and_reported() {
-        let pool: WorkerPool<()> = WorkerPool::new(1);
-        pool.submit(1, Box::new(|| panic!("kaboom")));
-        pool.submit(2, Box::new(|| ()));
+        let (pool, rx) = fifo_pool::<()>(1);
+        push(&pool, 1, Box::new(|| panic!("kaboom")));
+        push(&pool, 2, Box::new(|| ()));
         let mut saw_panic = false;
         let mut saw_ok = false;
         for _ in 0..2 {
-            match pool.recv_timeout(Duration::from_secs(5)).unwrap() {
+            match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
                 (1, TaskOutcome::Panicked(msg)) => {
                     assert!(msg.contains("kaboom"));
                     saw_panic = true;
@@ -268,9 +254,10 @@ mod tests {
 
     #[test]
     fn condemned_task_never_reports_and_replacement_serves() {
-        let mut pool: WorkerPool<&'static str> = WorkerPool::new(1);
+        let (pool, rx) = fifo_pool::<&'static str>(1);
         let (started_tx, started_rx) = mpsc::channel();
-        pool.submit(
+        push(
+            &pool,
             1,
             Box::new(move || {
                 started_tx.send(()).unwrap();
@@ -283,35 +270,36 @@ mod tests {
         // next task even though the first thread is still sleeping.
         started_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(pool.condemn(1));
-        pool.submit(2, Box::new(|| "fresh"));
-        let (tok, out) = pool.recv_timeout(Duration::from_secs(5)).unwrap();
+        push(&pool, 2, Box::new(|| "fresh"));
+        let (tok, out) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(tok, 2);
         assert!(matches!(out, TaskOutcome::Done("fresh")));
         // The condemned token must never surface, even after it wakes.
-        match pool.recv_timeout(Duration::from_millis(400)) {
+        match rx.recv_timeout(Duration::from_millis(400)) {
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             other => panic!("condemned result leaked: {other:?}"),
         }
         pool.shutdown();
     }
 
-    /// Condemning a token whose outcome is already waiting in the channel
-    /// adds no worker: a one-worker pool still runs one task at a time.
+    /// Condemning a token whose outcome already reached the sink adds no
+    /// worker: a one-worker pool still runs one task at a time.
     #[test]
     fn condemning_a_finished_task_adds_no_worker() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let mut pool: WorkerPool<()> = WorkerPool::new(1);
+        let (pool, rx) = fifo_pool::<()>(1);
         let (started_tx, started_rx) = mpsc::channel();
-        pool.submit(1, Box::new(|| ()));
+        push(&pool, 1, Box::new(|| ()));
         // The only worker reaches task 2 after reporting task 1.
-        pool.submit(2, Box::new(move || started_tx.send(()).unwrap()));
+        push(&pool, 2, Box::new(move || started_tx.send(()).unwrap()));
         started_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(!pool.condemn(1), "a finished token is not condemned");
         let active = Arc::new(AtomicUsize::new(0));
         let peak = Arc::new(AtomicUsize::new(0));
         for token in [3, 4] {
             let (active, peak) = (Arc::clone(&active), Arc::clone(&peak));
-            pool.submit(
+            push(
+                &pool,
                 token,
                 Box::new(move || {
                     let now = active.fetch_add(1, Ordering::SeqCst) + 1;
@@ -322,7 +310,7 @@ mod tests {
             );
         }
         let mut tokens: Vec<u64> = (0..4)
-            .map(|_| pool.recv_timeout(Duration::from_secs(5)).unwrap().0)
+            .map(|_| rx.recv_timeout(Duration::from_secs(5)).unwrap().0)
             .collect();
         tokens.sort_unstable();
         assert_eq!(tokens, [1, 2, 3, 4], "task 1 still reports");
@@ -331,6 +319,45 @@ mod tests {
             1,
             "one worker, one task at a time"
         );
+        pool.shutdown();
+    }
+
+    /// A last-in, first-out queue.
+    impl<T: 'static> ReadyQueue<T> for Vec<(u64, Task<T>)> {
+        fn pop(&mut self) -> Option<(u64, Task<T>)> {
+            Vec::pop(self)
+        }
+    }
+
+    /// The pool serves its caller's queue in that queue's order, here a
+    /// stack filled while the one worker is held.
+    #[test]
+    fn workers_serve_the_callers_queue_in_its_order() {
+        let (tx, rx) = mpsc::channel();
+        let pool = WorkerPool::new(1, Vec::new(), move |token, _| {
+            let _ = tx.send(token);
+        });
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (started_tx, started_rx) = mpsc::channel();
+        pool.submit(|q| {
+            q.push((
+                0,
+                Box::new(move || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                }) as Task<()>,
+            ))
+        });
+        started_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        for token in 1..=5 {
+            pool.submit(|q| q.push((token, Box::new(|| ()))));
+        }
+        assert_eq!(pool.queue(|q| q.len()), 5);
+        release_tx.send(()).unwrap();
+        let order: Vec<u64> = (0..6)
+            .map(|_| rx.recv_timeout(Duration::from_secs(5)).unwrap())
+            .collect();
+        assert_eq!(order, [0, 5, 4, 3, 2, 1]);
         pool.shutdown();
     }
 }

@@ -210,9 +210,10 @@ struct Reg {
     tier: [[u64; 4]; 3],
 }
 
-/// The serve-path metrics registry. One per server, shared by the
-/// intake fast path and the supervisor behind a mutex (both record on
-/// the order of once per request, far off the per-byte hot path).
+/// The serve-path metrics registry. One per server, shared behind a
+/// mutex by the intake (rejections and the fast path), the workers
+/// (the compiles they answer) and the deadline scan (`504`s); each
+/// records about once per request, far off the per-byte hot path.
 pub struct QosMetrics {
     inner: Mutex<Reg>,
 }

@@ -1,17 +1,15 @@
 //! Per-tenant quality of service: priority classes, class-aware shed
-//! thresholds, and the weighted-fair queue that sits between admission
-//! and the worker pool.
+//! thresholds, and the weighted-fair queue that the worker pool pops.
 //!
-//! ## Why a second queue
+//! ## Why a fair queue
 //!
 //! Admission (the bounded `inflight` counter) decides *whether* a
-//! request gets in; it says nothing about *order*. The worker pool's
-//! channel is FIFO, so before this module a flooding tenant that kept
-//! the queue legally below the bound still serialised everyone else
-//! behind its backlog. The WFQ holds admitted-but-undispatched jobs in
-//! per-tenant queues and releases them to the pool one worker-slot at a
-//! time, smallest virtual finish first — so the pool never holds more
-//! than `workers` jobs and its FIFO order cannot undo the fair order.
+//! request gets in; it says nothing about *order*. A FIFO queue would
+//! let a flooding tenant that kept the queue legally below the bound
+//! serialise everyone else behind its backlog. The WFQ holds
+//! admitted-but-undispatched jobs in per-tenant queues, and it is the
+//! server's one ready queue: a free worker of the pool pops it
+//! directly, smallest virtual finish first.
 //!
 //! ## Virtual-time math
 //!
@@ -139,7 +137,7 @@ pub fn tier_for_class(depth: usize, bound: usize, class: Class) -> Option<u8> {
 }
 
 /// One queued job: the pool token it was admitted under, its virtual
-/// finish tag, and the payload to hand the pool at dispatch.
+/// finish tag, and the payload a worker runs once it pops the item.
 struct Item<T> {
     token: u64,
     finish: u64,
