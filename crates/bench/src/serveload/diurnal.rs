@@ -4,14 +4,17 @@
 //!
 //! Two phases, each against its own in-process [`Server`]:
 //!
-//! 1. **WFQ share.** Five closed-loop tenants saturate a single worker:
-//!    four "free" tenants (weight 2, interactive) each demand `FREE_DEMAND`
-//!    compiles, one "abuser" (weight 1, batch) floods. Weighted fair
-//!    queueing gives each free tenant 4× the abuser's service rate
+//! 1. **WFQ share.** Five tenants queue their whole demand behind one
+//!    held worker: four "free" tenants (weight 2, interactive) and one
+//!    "abuser" (weight 1, batch), `FREE_DEMAND` compiles each. Weighted
+//!    fair queueing gives each free tenant 4× the abuser's service rate
 //!    (weight ratio 2:1 × class cost ratio 1:2), so when the free
 //!    tenants finish, the abuser must have been served `FREE_DEMAND/4 ±
-//!    10%` — the analytic share. A FIFO queue would instead serve the
-//!    abuser in proportion to its demand, which is unbounded.
+//!    10%` — the analytic share. WFQ's share guarantee is defined for
+//!    backlogged tenants, and with every lane backlogged the service
+//!    order is a function of the queue alone, so the share is exact at
+//!    every seed. A FIFO queue would serve the abuser once per round
+//!    before the last free answer, 199 times.
 //! 2. **Diurnal isolation.** Three well-behaved interactive tenants are
 //!    paced by a seeded segment curve (the "day"); the abuser floods
 //!    from more threads than its queue quota admits. Gates: every
@@ -67,80 +70,80 @@ fn curve(seed: u64, tenant: usize, segment: usize) -> u64 {
     splitmix64(seed ^ ((tenant as u64) << 32) ^ segment as u64) % 4 + 1
 }
 
-/// Threads per tenant in the share phase. WFQ shares are defined for
-/// *backlogged* tenants — with a single closed-loop thread a tenant
-/// forfeits its queue position every turnaround (memoryless virtual
-/// time banks no credit) and the shares degenerate toward round-robin.
-/// Three threads keep ~2 requests queued per tenant throughout.
-const SHARE_CONC: usize = 3;
-
-/// Phase 1: the saturated WFQ share measurement. Returns
+/// Phase 1: the WFQ share, read from a held backlog. A gate compile (a
+/// 48,000-statement straight line) holds the one worker while every
+/// tenant's whole backlog is admitted round by round, so every lane is
+/// backlogged from the first pop and the service order, which the trace
+/// journal records, is a pure function of the queue. Returns
 /// `(abuser_served_at_free_done, free_errors)`.
-fn wfq_share_phase(cfg: &LoadConfig, entries: &Arc<Vec<Entry>>) -> (u64, u64) {
-    let server = Arc::new(Server::start(ServeConfig {
+fn wfq_share_phase(cfg: &LoadConfig, entries: &[Entry]) -> Result<(u64, u64), String> {
+    let trace_path = std::env::temp_dir().join(format!(
+        "mcc-bench-share-{}-{}.jsonl",
+        std::process::id(),
+        cfg.seed
+    ));
+    let server = Server::start(ServeConfig {
         workers: 1,
         queue_bound: 4096,
+        deadline: Duration::from_secs(120),
         tenant_weights: (0..FREE_TENANTS).map(|t| (format!("free{t}"), 2)).collect(),
+        trace_path: Some(trace_path.clone()),
         ..ServeConfig::default()
-    }));
-    let stop = Arc::new(AtomicBool::new(false));
-    let abuser_served = Arc::new(AtomicU64::new(0));
-    let free_errors = Arc::new(AtomicU64::new(0));
-
-    let mut abusers = Vec::new();
-    let abuser_next = Arc::new(AtomicUsize::new(9_000_000));
-    for _ in 0..SHARE_CONC {
-        let (server, stop, served) =
-            (Arc::clone(&server), Arc::clone(&stop), Arc::clone(&abuser_served));
-        let (entries, seed, next) = (Arc::clone(entries), cfg.seed, Arc::clone(&abuser_next));
-        abusers.push(std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                let e = &entries[pick(seed, k, entries.len())];
-                let r = server.handle_line(&qos_line(e, k, "abuser", "batch"), "abuser");
-                if r.code == 200 {
-                    served.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }));
-    }
-
-    let mut frees = Vec::new();
-    for t in 0..FREE_TENANTS {
-        let issue = Arc::new(AtomicUsize::new(0));
-        for _ in 0..SHARE_CONC {
-            let (server, errors) = (Arc::clone(&server), Arc::clone(&free_errors));
-            let (entries, seed, issue) = (Arc::clone(entries), cfg.seed, Arc::clone(&issue));
-            frees.push(std::thread::spawn(move || {
-                let tenant = format!("free{t}");
-                loop {
-                    let j = issue.fetch_add(1, Ordering::Relaxed);
-                    if j >= FREE_DEMAND as usize {
-                        break;
-                    }
-                    let k = (t + 1) * 1_000_000 + j;
-                    let e = &entries[pick(seed, k, entries.len())];
-                    let r = server.handle_line(&qos_line(e, k, &tenant, "interactive"), &tenant);
-                    if r.code != 200 {
-                        errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }));
+    });
+    let wfq_depth = || {
+        let stats = server.handle_line("{\"op\":\"stats\"}\n", "bench").to_line();
+        Response::field_num(&stats, "wfq_depth").unwrap_or(0)
+    };
+    // The frames are built before the gate starts, so that admission is
+    // only intake, and the gate outlasts it many times over.
+    let mut backlog = Vec::new();
+    for j in 0..FREE_DEMAND as usize {
+        for t in 0..FREE_TENANTS {
+            let (tenant, k) = (format!("free{t}"), (t + 1) * 1_000_000 + j);
+            let e = &entries[pick(cfg.seed, k, entries.len())];
+            backlog.push((qos_line(e, k, &tenant, "interactive"), tenant));
         }
+        let k = 9_000_000 + j;
+        let e = &entries[pick(cfg.seed, k, entries.len())];
+        backlog.push((qos_line(e, k, "abuser", "batch"), "abuser".to_string()));
     }
-    for f in frees {
-        f.join().expect("free tenant thread");
+    let mut gate = String::from("reg a = R0\nreg b = R1\nconst a, 1\nconst b, 5\n");
+    for i in 0..48_000 {
+        gate.push_str(if i % 2 == 0 { "add a, a, b\n" } else { "add b, b, a\n" });
     }
-    // The share is read the instant the last free tenant completes —
-    // everything the abuser gets after this point is uncontended and
-    // does not count against fairness.
-    let measured = abuser_served.load(Ordering::Relaxed);
-    stop.store(true, Ordering::Relaxed);
-    for a in abusers {
-        a.join().expect("abuser thread");
+    gate.push_str("exit a\n");
+    // Every answer is read back from the trace journal once the drain
+    // below has waited for it, so the submissions are not kept.
+    let gate = mcc_serve::proto::compile_line("gate", "hm1", "yalll", &gate);
+    server.submit_frame(&gate, None, "gate");
+    let start = Instant::now();
+    while wfq_depth() > 0 && start.elapsed() < Duration::from_secs(30) {
+        std::thread::sleep(Duration::from_millis(1));
     }
+    for (line, tenant) in &backlog {
+        server.submit_frame(line, None, tenant);
+    }
+    let queued = wfq_depth();
     server.drain();
-    (measured, free_errors.load(Ordering::Relaxed))
+    drop(server);
+    let replayed = trace::replay(&trace_path).map_err(|e| format!("share trace replay: {e}"));
+    let _ = std::fs::remove_file(&trace_path);
+    if queued != backlog.len() as u64 {
+        return Err(format!(
+            "the share phase's gate compile did not hold the worker while the backlog was \
+             admitted ({queued} of {} queued)",
+            backlog.len()
+        ));
+    }
+    // The share counts the abuser's answers served before the last free
+    // tenant's: what it gets after that is uncontended.
+    let records = replayed?.0;
+    let is_free = |r: &trace::TraceRecord| r.tenant.starts_with("free");
+    let last_free = records.iter().rposition(is_free).unwrap_or(0);
+    let served = |r: &&trace::TraceRecord| r.code == 200;
+    let abuser = records[..last_free].iter().filter(|r| r.tenant == "abuser");
+    let free_ok = records.iter().filter(|r| is_free(r)).filter(served).count() as u64;
+    Ok((abuser.filter(served).count() as u64, FREE_TENANTS as u64 * FREE_DEMAND - free_ok))
 }
 
 /// Phase 2 outcome.
@@ -310,7 +313,7 @@ pub(super) fn run(cfg: &LoadConfig) -> Result<(), String> {
     crate::print_table(&["tenant", "s0", "s1", "s2", "s3", "s4", "s5"], &rows);
 
     let start = Instant::now();
-    let (measured, free_errors) = wfq_share_phase(cfg, &entries);
+    let (measured, free_errors) = wfq_share_phase(cfg, &entries)?;
     let share_ok = free_errors == 0 && measured.abs_diff(analytic) <= tolerance;
 
     let out = diurnal_phase(cfg, &entries)?;
