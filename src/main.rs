@@ -411,6 +411,14 @@ fn parse_args() -> Option<Args> {
             "--trace" => a.trace = Some(it.next()?),
             "--tenant-weight" => a.tenant_weight.push(it.next()?),
             "--tenant-quota" => a.tenant_quota = Some(numeric("--tenant-quota", it.next())?),
+            "-h" | "--help" => {
+                a.command = "help".to_string();
+                return Some(a);
+            }
+            _ if arg.starts_with('-') => {
+                eprintln!("mcc: unknown option `{arg}`");
+                return None;
+            }
             _ => a.positional.push(arg),
         }
     }

@@ -69,3 +69,31 @@ fn usage_names_every_algorithm_machine_and_language() {
         );
     }
 }
+
+/// `mcc` run with `args`.
+fn mcc(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_mcc"))
+        .args(args)
+        .output()
+        .expect("mcc runs")
+}
+
+#[test]
+fn help_after_a_command_prints_the_usage() {
+    for flag in ["--help", "-h"] {
+        let out = mcc(&["compile", flag]);
+        assert_eq!(out.status.code(), Some(0), "compile {flag}: {out:?}");
+        let text = String::from_utf8(out.stderr).expect("usage is UTF-8");
+        assert_eq!(text, usage(), "compile {flag} prints the usage");
+    }
+}
+
+#[test]
+fn an_unknown_option_is_named_and_is_a_flag_error() {
+    let out = mcc(&["compile", "--bogus", "demos/gcd.yll"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let text = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+    let (first, rest) = text.split_once('\n').expect("more than one line");
+    assert_eq!(first, "mcc: unknown option `--bogus`");
+    assert_eq!(rest, usage(), "the usage follows the diagnostic");
+}
