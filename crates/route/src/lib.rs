@@ -163,12 +163,12 @@ pub struct RouteCounters {
     pub v2_connections: AtomicU64,
     /// Binary v2 frames decoded on the router's listener.
     pub v2_frames: AtomicU64,
-    /// Request frames sent on shared shard connections.
+    /// Forwarded request frames written to shard connections.
     pub pipe_frames: AtomicU64,
     /// Socket writes that carried them.
     pub pipe_writes: AtomicU64,
-    /// Requests handed from a torn shared connection to the lockstep
-    /// fallback.
+    /// Requests moved from a torn shared connection onto private
+    /// connections of their own.
     pub pipe_fallbacks: AtomicU64,
 }
 
@@ -301,7 +301,7 @@ impl Flight<'_> {
             let done: Done = Box::new(move |r| {
                 let _ = tx.send((oi, r));
             });
-            Arc::clone(&backend).submit(self.fwd.clone(), self.ident.clone(), done);
+            backend.submit(self.fwd.clone(), self.ident.clone(), done);
             if !self.batched {
                 backend.flush();
             }
@@ -427,15 +427,11 @@ impl Router {
                         continue;
                     }
                     let t0 = Instant::now();
-                    let healthy = match slot.transport().call("{\"op\":\"ping\"}\n", "route-probe")
-                    {
-                        Ok(pong) => {
-                            Response::field_num(&pong, "code") == Some(200)
-                                && Response::field_str(&pong, "draining").as_deref()
-                                    != Some("true")
-                        }
-                        Err(_) => false,
-                    };
+                    let pong = backend::request(&*slot.transport(), "{\"op\":\"ping\"}", None);
+                    let healthy = pong.is_ok_and(|p| {
+                        Response::field_num(&p, "code") == Some(200)
+                            && Response::field_str(&p, "draining").as_deref() != Some("true")
+                    });
                     if healthy {
                         #[allow(clippy::cast_possible_truncation)]
                         slot.probe_rtt_us
@@ -562,7 +558,7 @@ impl Router {
         // fine — it has nothing in flight either.
         let slots: Vec<Arc<Slot>> = self.membership.read().unwrap().slots.clone();
         for s in slots {
-            let _ = s.transport().call("{\"op\":\"drain\"}\n", "route-drain");
+            let _ = backend::request(&*s.transport(), "{\"op\":\"drain\"}", None);
         }
         at_start
     }
@@ -740,7 +736,7 @@ impl Router {
             if !s.breaker.lock().unwrap().is_closed() {
                 continue;
             }
-            if let Ok(reply) = s.transport().call("{\"op\":\"metrics\"}\n", "route-metrics") {
+            if let Ok(reply) = backend::request(&*s.transport(), "{\"op\":\"metrics\"}", None) {
                 if let Some(text) = Response::field_str(&reply, "text") {
                     merge_with_label(&mut out, &text, "shard", &s.name);
                 }
@@ -770,11 +766,11 @@ const SERIES: &[Series<Router>] = &[
     counter_field!(oversized_frames, "Inbound frames past the frame size limit."),
     counter_field!(v2_connections, "Client connections that negotiated binary protocol v2."),
     counter_field!(v2_frames, "Binary v2 frames decoded."),
-    counter_field!(pipe_frames, "Request frames sent on shared shard connections."),
-    counter_field!(pipe_writes, "Socket writes that carried shared-connection frames."),
+    counter_field!(pipe_frames, "Forwarded request frames written to shard connections."),
+    counter_field!(pipe_writes, "Socket writes that carried forwarded request frames."),
     counter_field!(
         pipe_fallbacks,
-        "Requests handed from a torn shared connection to the lockstep fallback."
+        "Requests moved from a torn shared connection onto private connections."
     ),
     Series::gauge("backends", "Backends in the ring.", |r| {
         r.membership.read().unwrap().slots.len() as u64
@@ -1030,14 +1026,11 @@ mod tests {
         fn name(&self) -> &str {
             self.inner.name()
         }
-        fn call(&self, line: &str, client: &str) -> Result<String, String> {
-            std::thread::sleep(self.delay);
-            self.inner.call(line, client)
-        }
-        fn submit(self: Arc<Self>, line: String, ident: Ident, done: Done) {
+        fn submit(&self, line: String, ident: Ident, done: Done) {
+            let (inner, delay) = (Arc::clone(&self.inner), self.delay);
             std::thread::spawn(move || {
-                std::thread::sleep(self.delay);
-                Arc::clone(&self.inner).submit(line, ident, done);
+                std::thread::sleep(delay);
+                inner.submit(line, ident, done);
             });
         }
     }
@@ -1218,7 +1211,7 @@ mod tests {
         assert!(text.contains("mcc_route_backend_up{backend=\"b1\"} 1\n"), "{text}");
     }
 
-    /// A shard that counts the blocking calls it receives.
+    /// A shard that counts the requests submitted to it.
     struct Counting {
         inner: Arc<InProcBackend>,
         calls: AtomicU64,
@@ -1228,12 +1221,9 @@ mod tests {
         fn name(&self) -> &str {
             self.inner.name()
         }
-        fn call(&self, line: &str, client: &str) -> Result<String, String> {
+        fn submit(&self, line: String, ident: Ident, done: Done) {
             self.calls.fetch_add(1, Ordering::SeqCst);
-            self.inner.call(line, client)
-        }
-        fn submit(self: Arc<Self>, line: String, ident: Ident, done: Done) {
-            Arc::clone(&self.inner).submit(line, ident, done);
+            self.inner.submit(line, ident, done);
         }
     }
 
