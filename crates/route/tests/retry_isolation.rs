@@ -1,6 +1,6 @@
 //! Retry isolation on the shared router→shard connection: one reset of
 //! that connection, while a burst of compiles is in flight on it, must
-//! cost nothing but a lockstep retry of each stranded request — every
+//! cost nothing but a private retry of each stranded request — every
 //! request answers `200` from its own shard, nothing fails over, and
 //! nothing runs twice.
 //!
