@@ -22,9 +22,10 @@
 //!
 //! Every mode is built from the parts below: the corpus and its seeded
 //! schedule, one paced [`burst`], one [`Sample`] per response, one
-//! [`warm`]-up canon, one conformance count ([`mismatches`]), one
-//! [`percentiles`] helper and one [`write_report`]. Each mode keeps its
-//! own topology, verdict lines and report fields.
+//! [`warm`]-up canon, one worker-holding gate ([`hold_workers`]), one
+//! conformance count ([`mismatches`]), one [`percentiles`] helper and
+//! one [`write_report`]. Each mode keeps its own topology, verdict lines
+//! and report fields.
 
 mod chaosnet;
 mod diurnal;
@@ -275,6 +276,35 @@ fn burst(
     })
 }
 
+/// Admitted requests still waiting in `server`'s fair queue.
+fn wfq_depth(server: &Server) -> u64 {
+    let stats = server.handle_line("{\"op\":\"stats\"}\n", "bench").to_line();
+    Response::field_num(&stats, "wfq_depth").unwrap_or(0)
+}
+
+/// Holds `workers` of `server`'s workers, one gate compile each, and
+/// returns once they have taken every gate off the queue, so requests
+/// admitted from then on wait behind the gates. A gate is a straight
+/// line of `statements` dependent adds (16,000 keep a worker busy for
+/// 0.2-0.33 s in debug and 31-36 ms in release on a 2-CPU host); each
+/// starts from its own constant, so no gate is another's cache hit.
+/// Their answers are not kept.
+fn hold_workers(server: &Server, workers: usize, statements: usize) {
+    for i in 0..workers {
+        let mut src = format!("reg a = R0\nreg b = R1\nconst a, {}\nconst b, 5\n", i + 1);
+        for s in 0..statements {
+            src.push_str(if s % 2 == 0 { "add a, a, b\n" } else { "add b, b, a\n" });
+        }
+        src.push_str("exit a\n");
+        let line = mcc_serve::proto::compile_line(&format!("gate{i}"), "hm1", "yalll", &src);
+        server.submit_frame(&line, None, "gate");
+    }
+    let start = Instant::now();
+    while wfq_depth(server) > 0 && start.elapsed() < Duration::from_secs(30) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// Warm-up: one unloaded compile per corpus entry (nonces from
 /// `nonce_base`, past every burst's range) pins the canonical tier-0
 /// checksum every burst response is checked against.
@@ -394,7 +424,16 @@ pub fn run(cfg: &LoadConfig) -> Result<(), String> {
     run_single(cfg)
 }
 
+/// The overload burst's gate length: its compile outlasts the arrival
+/// of the burst's first `queue_bound` requests (a few milliseconds at
+/// the paced rates) many times over in either build.
+const OVERLOAD_GATE_STATEMENTS: usize = 16_000;
+
 /// The default mode: one paced burst against one in-process server.
+/// Every worker is held by a gate compile (not one of the burst's
+/// requests) while the burst's first requests arrive, so the queue
+/// reaches its bound and later arrivals are shed however fast the build
+/// compiles: the shedding tiers engage at every seed.
 fn run_single(cfg: &LoadConfig) -> Result<(), String> {
     let entries = corpus();
     let total = requests(cfg);
@@ -404,6 +443,7 @@ fn run_single(cfg: &LoadConfig) -> Result<(), String> {
         ..ServeConfig::default()
     });
     let canonical = warm(&entries, total, |line| Ok(server.handle_line(line, "warmup").to_line()))?;
+    hold_workers(&server, cfg.workers, OVERLOAD_GATE_STATEMENTS);
     let start = Instant::now();
     let samples = burst(cfg, &entries, total, 0, "client", None, |who, line| {
         Some(server.handle_line(line, who).to_line())

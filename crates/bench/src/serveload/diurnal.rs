@@ -90,10 +90,6 @@ fn wfq_share_phase(cfg: &LoadConfig, entries: &[Entry]) -> Result<(u64, u64), St
         trace_path: Some(trace_path.clone()),
         ..ServeConfig::default()
     });
-    let wfq_depth = || {
-        let stats = server.handle_line("{\"op\":\"stats\"}\n", "bench").to_line();
-        Response::field_num(&stats, "wfq_depth").unwrap_or(0)
-    };
     // The frames are built before the gate starts, so that admission is
     // only intake, and the gate outlasts it many times over.
     let mut backlog = Vec::new();
@@ -107,23 +103,13 @@ fn wfq_share_phase(cfg: &LoadConfig, entries: &[Entry]) -> Result<(u64, u64), St
         let e = &entries[pick(cfg.seed, k, entries.len())];
         backlog.push((qos_line(e, k, "abuser", "batch"), "abuser".to_string()));
     }
-    let mut gate = String::from("reg a = R0\nreg b = R1\nconst a, 1\nconst b, 5\n");
-    for i in 0..48_000 {
-        gate.push_str(if i % 2 == 0 { "add a, a, b\n" } else { "add b, b, a\n" });
-    }
-    gate.push_str("exit a\n");
     // Every answer is read back from the trace journal once the drain
     // below has waited for it, so the submissions are not kept.
-    let gate = mcc_serve::proto::compile_line("gate", "hm1", "yalll", &gate);
-    server.submit_frame(&gate, None, "gate");
-    let start = Instant::now();
-    while wfq_depth() > 0 && start.elapsed() < Duration::from_secs(30) {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    hold_workers(&server, 1, 48_000);
     for (line, tenant) in &backlog {
         server.submit_frame(line, None, tenant);
     }
-    let queued = wfq_depth();
+    let queued = wfq_depth(&server);
     server.drain();
     drop(server);
     let replayed = trace::replay(&trace_path).map_err(|e| format!("share trace replay: {e}"));
