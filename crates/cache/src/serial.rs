@@ -18,6 +18,15 @@
 //!   `serialize_artifact` the *equality witness* the differential tests
 //!   use: warm and cold artifacts must serialise byte-identically.
 //!
+//! The writer runs on every new program, twice in `mcc serve` (the disk
+//! record, then the response checksum), so it appends every token to one
+//! `String` sized for the program and writes each number's digits
+//! straight into it. A `format!` per token built a fresh `String` for
+//! nearly every number of a line of about 650 bytes: on the seed-52
+//! `compile_cold` mix (release, pinned to one CPU of a 2-CPU host) that
+//! writer took about 12 µs per artifact, this one about 2 µs, for the
+//! same bytes (`tests/artifact_pinned.rs`).
+//!
 //! The machine description is **not** stored. The cache key already
 //! commits to the machine's full MDL rendering, so the caller's
 //! [`MachineDesc`] — required at lookup — is necessarily the one that
@@ -39,17 +48,52 @@ const MAGIC: &str = "mccart1";
 
 // ------------------------------------------------------------- writing ----
 
+/// Appends ` <n>`: a space, then `n` in decimal. Every number in the
+/// format is unsigned and every token follows a space, so this one
+/// helper writes them all, digit by digit into the line.
+fn push_num(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push(' ');
+    for &d in &digits[i..] {
+        out.push(char::from(d));
+    }
+}
+
+/// Appends ` "<s>"`, escaped.
 fn push_qstr(out: &mut String, s: &str) {
-    out.push('"');
+    out.push_str(" \"");
     esc_into(out, s);
     out.push('"');
 }
 
+fn push_reg(out: &mut String, r: RegRef) {
+    push_num(out, r.file.0.into());
+    push_num(out, r.index.into());
+}
+
 fn push_loc(out: &mut String, loc: &Location) {
     match loc {
-        Location::Reg(r) => out.push_str(&format!("r {} {}", r.file.0, r.index)),
-        Location::Scratch(r) => out.push_str(&format!("s {} {}", r.file.0, r.index)),
-        Location::Mem(a) => out.push_str(&format!("m {a}")),
+        Location::Reg(r) => {
+            out.push_str(" r");
+            push_reg(out, *r);
+        }
+        Location::Scratch(r) => {
+            out.push_str(" s");
+            push_reg(out, *r);
+        }
+        Location::Mem(a) => {
+            out.push_str(" m");
+            push_num(out, *a);
+        }
     }
 }
 
@@ -86,93 +130,103 @@ fn cond_of(code: u32) -> Result<CondKind, String> {
     })
 }
 
+/// Appends ` <n>`, or ` -` for `None`.
+fn push_opt(out: &mut String, n: Option<u64>) {
+    match n {
+        Some(n) => push_num(out, n),
+        None => out.push_str(" -"),
+    }
+}
+
 fn push_op(out: &mut String, op: &BoundOp) {
-    out.push_str(&format!("{}", op.template.0));
+    push_num(out, op.template.0.into());
     match op.dst {
-        Some(r) => out.push_str(&format!(" {} {}", r.file.0, r.index)),
+        Some(r) => push_reg(out, r),
         None => out.push_str(" -"),
     }
-    out.push_str(&format!(" {}", op.srcs.len()));
-    for r in &op.srcs {
-        out.push_str(&format!(" {} {}", r.file.0, r.index));
+    push_num(out, op.srcs.len() as u64);
+    for &r in &op.srcs {
+        push_reg(out, r);
     }
-    match op.imm {
-        Some(v) => out.push_str(&format!(" {v}")),
-        None => out.push_str(" -"),
-    }
-    match op.target {
-        Some(v) => out.push_str(&format!(" {v}")),
-        None => out.push_str(" -"),
-    }
-    match op.cond {
-        Some(c) => out.push_str(&format!(" {}", cond_code(c))),
-        None => out.push_str(" -"),
-    }
+    push_opt(out, op.imm);
+    push_opt(out, op.target.map(u64::from));
+    push_opt(out, op.cond.map(|c| cond_code(c).into()));
 }
 
 /// Serialises an artifact (without its machine) to one line of text —
 /// the canonical byte representation used by the disk tier and by the
 /// cache-invisibility tests.
 pub fn serialize_artifact(a: &Artifact) -> String {
-    let mut out = String::with_capacity(256);
+    // Sized for the program, which is most of the line, so that the
+    // common artifact is written without growing the buffer.
+    let ops: usize = a.program.blocks.iter().flat_map(|b| &b.instrs).map(|i| i.ops.len()).sum();
+    let mut out = String::with_capacity(256 + 32 * ops + 24 * a.locations.len());
     out.push_str(MAGIC);
 
     // Stats (volatile fields excluded).
     let s = &a.stats;
-    out.push_str(&format!(
-        " stats {} {} {} {} {} {} {} ",
-        s.mir_ops, s.micro_instrs, s.micro_ops, s.spills, s.spill_moves, s.polls, s.dead_flags
-    ));
+    out.push_str(" stats");
+    for n in [
+        s.mir_ops,
+        s.micro_instrs,
+        s.micro_ops,
+        s.spills,
+        s.spill_moves,
+        s.polls,
+        s.dead_flags,
+    ] {
+        push_num(&mut out, n as u64);
+    }
     push_qstr(&mut out, &s.algorithm_used);
-    out.push_str(&format!(" {}", s.degradations.len()));
+    push_num(&mut out, s.degradations.len() as u64);
     for d in &s.degradations {
-        out.push(' ');
         push_qstr(&mut out, d);
     }
 
     // Warnings, in pipeline order.
-    out.push_str(&format!(" warn {}", a.warnings.len()));
+    out.push_str(" warn");
+    push_num(&mut out, a.warnings.len() as u64);
     for w in &a.warnings {
-        out.push(' ');
         push_qstr(&mut out, &w.message);
     }
 
     // Map-backed fields in sorted order for determinism.
     let mut locs: Vec<(&VReg, &Location)> = a.locations.iter().collect();
     locs.sort_by_key(|(v, _)| v.0);
-    out.push_str(&format!(" locs {}", locs.len()));
+    out.push_str(" locs");
+    push_num(&mut out, locs.len() as u64);
     for (v, loc) in locs {
-        out.push_str(&format!(" {} ", v.0));
+        push_num(&mut out, v.0.into());
         push_loc(&mut out, loc);
     }
 
     let mut syms: Vec<(&String, &Location)> = a.symbols.iter().collect();
     syms.sort_by_key(|(n, _)| n.as_str());
-    out.push_str(&format!(" syms {}", syms.len()));
+    out.push_str(" syms");
+    push_num(&mut out, syms.len() as u64);
     for (n, loc) in syms {
-        out.push(' ');
         push_qstr(&mut out, n);
-        out.push(' ');
         push_loc(&mut out, loc);
     }
 
     let mut mems: Vec<(&String, &(u64, u64))> = a.memory_symbols.iter().collect();
     mems.sort_by_key(|(n, _)| n.as_str());
-    out.push_str(&format!(" mems {}", mems.len()));
-    for (n, (base, len)) in mems {
-        out.push(' ');
+    out.push_str(" mems");
+    push_num(&mut out, mems.len() as u64);
+    for (n, &(base, len)) in mems {
         push_qstr(&mut out, n);
-        out.push_str(&format!(" {base} {len}"));
+        push_num(&mut out, base);
+        push_num(&mut out, len);
     }
 
     // The program: blocks of instructions of bound operations.
-    out.push_str(&format!(" prog {}", a.program.blocks.len()));
+    out.push_str(" prog");
+    push_num(&mut out, a.program.blocks.len() as u64);
     for b in &a.program.blocks {
-        out.push_str(&format!(" {}", b.instrs.len()));
+        push_num(&mut out, b.instrs.len() as u64);
         for i in &b.instrs {
-            out.push_str(&format!(" {}", i.ops.len()));
+            push_num(&mut out, i.ops.len() as u64);
             for op in &i.ops {
-                out.push(' ');
                 push_op(&mut out, op);
             }
         }
