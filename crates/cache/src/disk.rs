@@ -34,8 +34,18 @@
 //! the log via a tmp-file rename. Cross-process writers take the same
 //! lock around every append, closing the torn-counter interleaving that
 //! unlocked concurrent `exp_all --jobs N` runs could produce.
+//!
+//! Eviction frees a quarter of the cap (or the new record's length, if
+//! that is larger), not just room for the one record: the rewrite costs
+//! the whole log, so it must buy many appends. Evicting only down to
+//! `cap − line` left the log full again after the next append, and every
+//! store from then on re-read, re-verified and rewrote the whole log to
+//! drop about one record, with the cache's disk mutex held throughout.
+//! With the watermark a full store rewrites at most three log bytes per
+//! byte appended.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -57,6 +67,14 @@ const LOCK_FILE: &str = "lock";
 /// Default byte cap for the artifact log when `MCC_CACHE_MAX_BYTES` is
 /// unset.
 pub const DEFAULT_MAX_BYTES: u64 = 256 * 1024 * 1024;
+
+/// An eviction frees at least `cap / EVICT_FRACTION` bytes: the
+/// low-water mark that keeps a full log from being rewritten per store.
+const EVICT_FRACTION: u64 = 4;
+
+/// Bytes an artifact record adds around its payload:
+/// `A <key:032x> <payload> <sum:016x>\n`.
+const RECORD_OVERHEAD: u64 = 53;
 
 /// The configured byte cap: `MCC_CACHE_MAX_BYTES` (`0` = unbounded,
 /// malformed values fall back to the default), else
@@ -94,9 +112,20 @@ fn checked_body(line: &str, tag: char) -> Option<&str> {
     sealed::verify(body.as_bytes(), sum_hex).then_some(body)
 }
 
-/// Renders one artifact record line (checksummed, newline-terminated).
+/// Renders one artifact record line (checksummed, newline-terminated)
+/// into one buffer, copying the payload once.
 fn record_line(key: u128, payload: &str) -> String {
-    sum_line('A', &format!("{key:032x} {payload}"))
+    let mut line = String::with_capacity(record_len(payload) as usize);
+    let _ = write!(line, "A {key:032x} {payload}");
+    let sum = fnv1a(&line.as_bytes()[2..]);
+    let _ = writeln!(line, " {sum:016x}");
+    debug_assert_eq!(line.len() as u64, record_len(payload));
+    line
+}
+
+/// The length of a payload's record line, without rendering it.
+fn record_len(payload: &str) -> u64 {
+    payload.len() as u64 + RECORD_OVERHEAD
 }
 
 /// The distinct records of the log's intact prefix, in append (= age)
@@ -120,6 +149,8 @@ pub struct DiskTier {
     /// directory (locking `cache.log` itself would break across the
     /// eviction rename).
     lockfile: File,
+    /// The log's first line ([`header_line`]), rendered once at open.
+    header: String,
     index: HashMap<u128, String>,
     /// Live keys in append order — the eviction queue, oldest first.
     order: VecDeque<u128>,
@@ -189,6 +220,7 @@ impl DiskTier {
             dir: dir.to_path_buf(),
             log,
             lockfile,
+            header,
             index,
             order,
             cap,
@@ -227,9 +259,9 @@ impl DiskTier {
     }
 
     /// Appends one record (idempotent per key) and fsyncs, evicting
-    /// oldest-first when the byte cap would be exceeded. A record that
-    /// cannot fit even an empty log is refused (counted as an eviction)
-    /// rather than thrashing the store.
+    /// oldest-first when the byte cap would be exceeded, until a quarter
+    /// of the cap is free. A record that cannot fit even an empty log is
+    /// refused (counted as an eviction) rather than thrashing the store.
     ///
     /// # Errors
     ///
@@ -240,7 +272,7 @@ impl DiskTier {
             return Ok(());
         }
         let line = record_line(key.0, payload);
-        let header_len = header_line().len() as u64;
+        let header_len = self.header.len() as u64;
         // Lock through a duplicated handle (same open file description,
         // so the same flock) to leave `self` free for `evict_to_fit`.
         let lockf = self.lockfile.try_clone()?;
@@ -254,7 +286,8 @@ impl DiskTier {
             // when other processes appended since open.
             let size = self.log.seek(SeekFrom::End(0))?;
             if size + line.len() as u64 > cap {
-                self.evict_to_fit(cap.saturating_sub(line.len() as u64))?;
+                let free = (line.len() as u64).max(cap / EVICT_FRACTION);
+                self.evict_to_fit(cap.saturating_sub(free))?;
             }
         } else {
             // Append at the true end even if another process grew the
@@ -275,21 +308,17 @@ impl DiskTier {
     /// `budget`, then atomically replace `cache.log` via a tmp-file
     /// rename.
     fn evict_to_fit(&mut self, budget: u64) -> io::Result<()> {
-        let header = header_line();
+        let header = &self.header;
         self.log.seek(SeekFrom::Start(0))?;
         let mut raw = Vec::new();
         self.log.read_to_end(&mut raw)?;
-        let (mut keep, _) = scan_records(&raw, &header);
-        let mut total = header.len() as u64
-            + keep
-                .iter()
-                .map(|(k, p)| record_line(*k, p).len() as u64)
-                .sum::<u64>();
+        let (mut keep, _) = scan_records(&raw, header);
+        let mut total = header.len() as u64 + keep.iter().map(|(_, p)| record_len(p)).sum::<u64>();
         while total > budget {
-            let Some((key, payload)) = keep.pop_front() else {
+            let Some((_, payload)) = keep.pop_front() else {
                 break;
             };
-            total -= record_line(key, &payload).len() as u64;
+            total -= record_len(&payload);
             self.evictions += 1;
         }
 
@@ -590,6 +619,43 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert!(t.lookup(CacheKey(1)).is_none());
         assert!(t.lookup(CacheKey(4)).is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_full_log_is_rewritten_once_per_quarter_cap_not_per_store() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = tmp("watermark");
+        let payload = "w".repeat(64);
+        let line_len = record_line(0, &payload).len() as u64;
+        let cap = header_line().len() as u64 + 40 * line_len;
+        let mut t = DiskTier::open_with_cap(&dir, Some(cap)).unwrap();
+        for i in 0..40u128 {
+            t.store(CacheKey(i), &payload).unwrap();
+        }
+        assert_eq!(t.evictions(), 0, "forty records fill the cap exactly");
+        // Every rewrite renames a new file over `cache.log`, so its inode
+        // changes exactly across the stores that rewrote it.
+        let inode = || std::fs::metadata(dir.join(CACHE_LOG)).unwrap().ino();
+        let mut rewrites = 0;
+        for i in 40..80u128 {
+            let before = inode();
+            t.store(CacheKey(i), &payload).unwrap();
+            rewrites += u64::from(inode() != before);
+            assert!(log_bytes(&dir) <= cap, "log never exceeds the cap");
+        }
+        let allowed = (40 * line_len).div_ceil(cap / 4) + 1;
+        assert!(
+            rewrites <= allowed,
+            "{rewrites} rewrites over 40 stores past the cap; at most {allowed}"
+        );
+        // Oldest first: the survivors are the newest keys, 79 among them.
+        let kept: Vec<u128> = (0..80).filter(|&k| t.lookup(CacheKey(k)).is_some()).collect();
+        assert_eq!(kept.len(), t.len());
+        assert_eq!(kept, (80 - kept.len() as u128..80).collect::<Vec<_>>());
+        drop(t);
+        let t = DiskTier::open_with_cap(&dir, Some(cap)).unwrap();
+        assert_eq!(t.len(), kept.len(), "the rewritten log reopens whole");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
