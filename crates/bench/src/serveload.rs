@@ -424,16 +424,16 @@ pub fn run(cfg: &LoadConfig) -> Result<(), String> {
     run_single(cfg)
 }
 
-/// The overload burst's gate length: its compile outlasts the arrival
-/// of the burst's first `queue_bound` requests (a few milliseconds at
-/// the paced rates) many times over in either build.
+/// The overload burst's gate length. At the burst's 2,000 requests a
+/// second the first `queue_bound` arrive within a few milliseconds, and
+/// a gate holds its worker many times longer in either build.
 const OVERLOAD_GATE_STATEMENTS: usize = 16_000;
 
 /// The default mode: one paced burst against one in-process server.
 /// Every worker is held by a gate compile (not one of the burst's
-/// requests) while the burst's first requests arrive, so the queue
-/// reaches its bound and later arrivals are shed however fast the build
-/// compiles: the shedding tiers engage at every seed.
+/// requests) while the burst's first requests arrive, so at an overload
+/// rate the queue reaches its bound behind the gates and later arrivals
+/// are shed, however fast the host and the build compile.
 fn run_single(cfg: &LoadConfig) -> Result<(), String> {
     let entries = corpus();
     let total = requests(cfg);

@@ -650,7 +650,9 @@ mod tests {
             "{rewrites} rewrites over 40 stores past the cap; at most {allowed}"
         );
         // Oldest first: the survivors are the newest keys, 79 among them.
-        let kept: Vec<u128> = (0..80).filter(|&k| t.lookup(CacheKey(k)).is_some()).collect();
+        let kept: Vec<u128> = (0..80)
+            .filter(|&k| t.lookup(CacheKey(k)).is_some())
+            .collect();
         assert_eq!(kept.len(), t.len());
         assert_eq!(kept, (80 - kept.len() as u128..80).collect::<Vec<_>>());
         drop(t);

@@ -159,7 +159,13 @@ fn push_op(out: &mut String, op: &BoundOp) {
 pub fn serialize_artifact(a: &Artifact) -> String {
     // Sized for the program, which is most of the line, so that the
     // common artifact is written without growing the buffer.
-    let ops: usize = a.program.blocks.iter().flat_map(|b| &b.instrs).map(|i| i.ops.len()).sum();
+    let ops: usize = a
+        .program
+        .blocks
+        .iter()
+        .flat_map(|b| &b.instrs)
+        .map(|i| i.ops.len())
+        .sum();
     let mut out = String::with_capacity(256 + 32 * ops + 24 * a.locations.len());
     out.push_str(MAGIC);
 
