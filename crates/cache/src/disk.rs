@@ -622,6 +622,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    #[cfg(unix)]
     #[test]
     fn a_full_log_is_rewritten_once_per_quarter_cap_not_per_store() {
         use std::os::unix::fs::MetadataExt;

@@ -22,10 +22,10 @@
 //! record, then the response checksum), so it appends every token to one
 //! `String` sized for the program and writes each number's digits
 //! straight into it. A `format!` per token built a fresh `String` for
-//! nearly every number of a line of about 650 bytes: on the seed-52
-//! `compile_cold` mix (release, pinned to one CPU of a 2-CPU host) that
-//! writer took about 12 µs per artifact, this one about 2 µs, for the
-//! same bytes (`tests/artifact_pinned.rs`).
+//! nearly every number of a line of about 650 bytes: in perfbench's
+//! traced `compile_cold` runs (`cache.serialize_us`, 2-CPU host) that
+//! writer took about 10.5 µs per new program and this one 1.9 µs, for
+//! the same bytes (`tests/artifact_pinned.rs`).
 //!
 //! The machine description is **not** stored. The cache key already
 //! commits to the machine's full MDL rendering, so the caller's
