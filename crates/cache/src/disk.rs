@@ -36,13 +36,12 @@
 //! unlocked concurrent `exp_all --jobs N` runs could produce.
 //!
 //! Eviction frees a quarter of the cap (or the new record's length, if
-//! that is larger), not just room for the one record: the rewrite costs
-//! the whole log, so it must buy many appends. Evicting only down to
-//! `cap − line` left the log full again after the next append, and every
-//! store from then on re-read, re-verified and rewrote the whole log to
-//! drop about one record, with the cache's disk mutex held throughout.
-//! With the watermark a full store rewrites at most three log bytes per
-//! byte appended.
+//! that is larger), not just room for the one record. Each eviction
+//! re-reads, re-verifies and rewrites the whole log, with the cache's
+//! disk mutex held, so it must buy many appends: evicting down to
+//! `cap − line` would leave the log full again after the next append and
+//! rewrite it on every store. With the watermark a full store rewrites
+//! at most three log bytes per byte appended.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt::Write as _;

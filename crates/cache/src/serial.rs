@@ -21,10 +21,10 @@
 //! The writer runs on every new program, twice in `mcc serve` (the disk
 //! record, then the response checksum), so it appends every token to one
 //! `String` sized for the program and writes each number's digits
-//! straight into it. A `format!` per token built a fresh `String` for
-//! nearly every number of a line of about 650 bytes: in perfbench's
-//! traced `compile_cold` runs (`cache.serialize_us`, 2-CPU host) that
-//! writer took about 10.5 µs per new program and this one 1.9 µs, for
+//! straight into it. A `format!` per token would build a fresh `String`
+//! for nearly every number of a line of about 650 bytes: in perfbench's
+//! traced `compile_cold` runs (`cache.serialize_us`, 2-CPU host) such a
+//! writer takes about 10.5 µs per new program and this one 1.9 µs, for
 //! the same bytes (`tests/artifact_pinned.rs`).
 //!
 //! The machine description is **not** stored. The cache key already
