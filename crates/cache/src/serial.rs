@@ -39,7 +39,10 @@ use mcc_core::passes::Warning;
 use mcc_core::{Artifact, CompileStats};
 use mcc_harness::json::esc_into;
 use mcc_machine::op::MicroBlock;
-use mcc_machine::{BoundOp, CondKind, FileId, MachineDesc, MicroInstr, MicroProgram, RegRef, TemplateId};
+use mcc_machine::{
+    BoundOp, CondKind, FileId, MachineDesc, MicroInstr, MicroProgram, RegRef, SrcList, TemplateId,
+    MAX_SRCS,
+};
 use mcc_mir::operand::VReg;
 use mcc_regalloc::Location;
 
@@ -350,7 +353,10 @@ impl<'a> Toks<'a> {
             }
         };
         let nsrcs: usize = self.num()?;
-        let mut srcs = Vec::with_capacity(nsrcs);
+        if nsrcs > MAX_SRCS {
+            return Err(format!("{nsrcs} sources, more than {MAX_SRCS}"));
+        }
+        let mut srcs = SrcList::new();
         for _ in 0..nsrcs {
             srcs.push(self.regref()?);
         }
@@ -514,6 +520,23 @@ mod tests {
         let bytes = serialize_artifact(&art);
         let cut = &bytes[..bytes.len() - 3];
         assert!(deserialize_artifact(cut, art.machine.clone()).is_err());
+    }
+
+    #[test]
+    fn a_fourth_source_is_a_malformed_record() {
+        let mut art = sample();
+        let three = BoundOp::new(TemplateId(0))
+            .with_src(RegRef::new(FileId(0), 11))
+            .with_src(RegRef::new(FileId(0), 12))
+            .with_src(RegRef::new(FileId(0), 13));
+        art.program.blocks[0].instrs.push(MicroInstr::single(three));
+        let bytes = serialize_artifact(&art);
+        let back = deserialize_artifact(&bytes, art.machine.clone()).unwrap();
+        assert_eq!(back.program, art.program);
+        let four = bytes.replacen(" 0 - 3 0 11 0 12 0 13 ", " 0 - 4 0 11 0 12 0 13 0 14 ", 1);
+        assert_ne!(four, bytes);
+        let e = deserialize_artifact(&four, art.machine.clone()).unwrap_err();
+        assert_eq!(e, "4 sources, more than 3");
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl<'a> Search<'a> {
             }
             for cand in &self.ops[j].candidates {
                 if fits(self.m, &instrs[t], cand, self.model) {
-                    instrs[t].ops.push(cand.clone());
+                    instrs[t].ops.push(*cand);
                     placed.push(t);
                     self.run(j + 1, instrs, placed);
                     placed.pop();

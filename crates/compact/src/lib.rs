@@ -185,8 +185,7 @@ fn place_first_fit(
             instrs.resize_with(t + 1, MicroInstr::new);
         }
         if let Some(c) = pick_candidate(m, &instrs[t], op, model) {
-            let c = c.clone();
-            instrs[t].ops.push(c);
+            instrs[t].ops.push(*c);
             return t;
         }
         t += 1;
@@ -240,8 +239,7 @@ pub(crate) fn list_schedule(
             // hazard only through conflicts, which `fits` sees; dependence
             // distances are fixed before the cycle starts.
             if let Some(c) = pick_candidate(m, &instrs[t], &ops[j], model) {
-                let c = c.clone();
-                instrs[t].ops.push(c);
+                instrs[t].ops.push(*c);
                 placed[j] = Some(t);
                 done += 1;
                 for e in g.succs(j) {
@@ -347,7 +345,7 @@ fn sequential(ops: &[SelectedOp]) -> Compaction {
     Compaction {
         instrs: ops
             .iter()
-            .map(|o| MicroInstr::single(o.candidates[0].clone()))
+            .map(|o| MicroInstr::single(o.candidates[0]))
             .collect(),
         mi_of: (0..ops.len()).collect(),
     }
@@ -770,7 +768,7 @@ mod tests {
             .edges()
             .iter()
             .any(|e| (e.from, e.to, e.kind) == (1, 2, mcc_mir::DepKind::Anti)));
-        let add = MicroInstr::single(ops[1].candidates[0].clone());
+        let add = MicroInstr::single(ops[1].candidates[0]);
         assert!(pick_candidate(&m, &add, &ops[2], ConflictModel::Fine).is_some());
         let c = compact(&m, &ops, Algorithm::CriticalPath, ConflictModel::Fine);
         assert_eq!(c.mi_of, vec![0, 1, 2]);

@@ -9,6 +9,7 @@
 use crate::ids::FieldId;
 use crate::machine::MachineDesc;
 use crate::op::{BoundOp, MicroInstr, MicroProgram};
+use crate::srclist::MAX_SRCS;
 use crate::template::{FieldValueSrc, MicroOpTemplate, SrcSpec};
 
 /// Errors during encoding.
@@ -293,7 +294,8 @@ pub fn decode_instr(m: &MachineDesc, word: u128) -> Result<MicroInstr, DecodeErr
                     }
                 }
                 FieldValueSrc::Src(n) => {
-                    let Some(class) = src_class(t, n) else {
+                    let Some(class) = src_class(t, n).filter(|_| usize::from(n) < MAX_SRCS)
+                    else {
                         return Err(DecodeError::MalformedTemplate(t.name.clone()));
                     };
                     match m.class(class).member_at(extract(word, m, fs.field)) {
@@ -398,6 +400,29 @@ mod tests {
         let m = hm1();
         let w = encode_instr(&m, &MicroInstr::new()).unwrap();
         assert_eq!(w, 0, "an empty microinstruction is the all-idle word");
+    }
+
+    #[test]
+    fn a_fourth_register_source_is_a_malformed_template() {
+        use crate::regs::{RegClass, RegisterFile};
+        use crate::semantic::{AluOp, Semantic};
+        // `validate` refuses this machine; decoding must not rely on it.
+        let mut m = MachineDesc::new("wide", 16, 1);
+        let r = m.add_file(RegisterFile::new("R", 4, 16, true));
+        let gp = m.add_class(RegClass::whole_file("gp", r, 4));
+        let f_op = m.control.push("op", 2);
+        let mut t = MicroOpTemplate::new("sum4", Semantic::Alu(AluOp::Add))
+            .set(f_op, FieldValueSrc::Const(1));
+        for n in 0..=MAX_SRCS as u8 {
+            let f = m.control.push(format!("s{n}"), 2);
+            t = t.with_src(gp).set(f, FieldValueSrc::Src(n));
+        }
+        m.add_template(t);
+        assert!(m.validate().is_err());
+        assert_eq!(
+            decode_checked(&m, 1, ecc_of(1)),
+            Err(DecodeError::MalformedTemplate("sum4".into()))
+        );
     }
 
     #[test]

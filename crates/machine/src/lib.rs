@@ -51,6 +51,7 @@ pub mod pretty;
 pub mod regs;
 pub mod resource;
 pub mod semantic;
+pub mod srclist;
 pub mod template;
 
 pub use encode::{
@@ -65,4 +66,5 @@ pub use pretty::{format_instr, format_op, format_program};
 pub use regs::{RegClass, RegRef, RegisterFile};
 pub use resource::{Resource, ResourceKind, ResourceUse};
 pub use semantic::{AluOp, CondKind, Semantic, ShiftOp};
+pub use srclist::{SrcList, MAX_SRCS};
 pub use template::{FieldSetting, FieldValueSrc, MicroOpTemplate, SrcSpec};

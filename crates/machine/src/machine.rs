@@ -7,6 +7,7 @@ use crate::op::{BoundOp, MicroInstr};
 use crate::regs::{RegClass, RegRef, RegisterFile, SpecialRegs};
 use crate::resource::Resource;
 use crate::semantic::{CondKind, Semantic};
+use crate::srclist::MAX_SRCS;
 use crate::template::{FieldValueSrc, MicroOpTemplate, SrcSpec};
 
 /// Which conflict model the compactor uses (experiment E2 compares them).
@@ -264,7 +265,7 @@ impl MachineDesc {
     }
 
     /// [`write_set`](Self::write_set) without the `Vec`, in the same order.
-    fn writes<'a>(&'a self, op: &'a BoundOp) -> impl Iterator<Item = RegRef> + 'a {
+    pub fn writes<'a>(&'a self, op: &'a BoundOp) -> impl Iterator<Item = RegRef> + 'a {
         let t = self.template(op.template);
         let flags = self.special.flags.filter(|_| t.writes_flags);
         op.dst
@@ -276,16 +277,18 @@ impl MachineDesc {
     /// All registers read by a bound op (explicit sources, implicit reads,
     /// and the flags register for condition-testing templates).
     pub fn read_set(&self, op: &BoundOp) -> Vec<RegRef> {
+        self.reads(op).collect()
+    }
+
+    /// [`read_set`](Self::read_set) without the `Vec`, in the same order.
+    pub fn reads<'a>(&'a self, op: &'a BoundOp) -> impl Iterator<Item = RegRef> + 'a {
         let t = self.template(op.template);
-        let mut r = Vec::with_capacity(op.srcs.len() + t.implicit_reads.len() + 1);
-        r.extend_from_slice(&op.srcs);
-        r.extend_from_slice(&t.implicit_reads);
-        if t.takes_cond {
-            if let Some(f) = self.special.flags {
-                r.push(f);
-            }
-        }
-        r
+        let flags = self.special.flags.filter(|_| t.takes_cond);
+        op.srcs
+            .iter()
+            .copied()
+            .chain(t.implicit_reads.iter().copied())
+            .chain(flags)
     }
 
     // ---- conflict oracle ----------------------------------------------------
@@ -399,6 +402,13 @@ impl MachineDesc {
         for t in &self.templates {
             if let Some(c) = t.dst {
                 self.check_class(c, &t.name)?;
+            }
+            if t.reg_src_count() > MAX_SRCS {
+                return Err(MachineError::OperandMismatch(format!(
+                    "template `{}` takes {} register sources, more than {MAX_SRCS}",
+                    t.name,
+                    t.reg_src_count()
+                )));
             }
             for s in &t.srcs {
                 if let SrcSpec::Class(c) = s {
@@ -750,7 +760,7 @@ mod tests {
         assert!(m.validate_op(&missing_src).is_err());
         let no_dst = BoundOp::new(add).with_src(r(1)).with_src(r(2));
         assert!(m.validate_op(&no_dst).is_err());
-        let stray_imm = good.clone().with_imm(3);
+        let stray_imm = good.with_imm(3);
         assert!(m.validate_op(&stray_imm).is_err());
     }
 
@@ -794,6 +804,26 @@ mod tests {
         let mut m = toy();
         m.add_template(MicroOpTemplate::new("bad", Semantic::Move).with_dst(ClassId(99)));
         assert!(matches!(m.validate(), Err(MachineError::DanglingRef(_))));
+    }
+
+    #[test]
+    fn validation_refuses_a_fourth_register_source() {
+        let with_srcs = |n: usize| {
+            let mut m = toy();
+            let gp = m.find_class("gp").unwrap();
+            let mut t = MicroOpTemplate::new("wide", Semantic::Alu(AluOp::Add)).with_dst(gp);
+            for _ in 0..n {
+                t = t.with_src(gp);
+            }
+            m.add_template(t);
+            m.validate()
+        };
+        assert_eq!(with_srcs(MAX_SRCS), Ok(()));
+        let e = with_srcs(MAX_SRCS + 1).unwrap_err();
+        assert!(
+            matches!(&e, MachineError::OperandMismatch(s) if s.contains("`wide` takes 4")),
+            "{e}"
+        );
     }
 
     #[test]

@@ -292,7 +292,7 @@ mod tests {
             .with_dst(RegRef::new(g, 0))
             .with_src(RegRef::new(g, 1));
         let rd = BoundOp::new(m.find_template("read").unwrap());
-        let mi = MicroInstr::of(vec![mv.clone(), rd.clone()]);
+        let mi = MicroInstr::of(vec![mv, rd]);
         assert!(m.validate_instr(&mi, ConflictModel::Fine).is_ok());
         assert!(m.validate_instr(&mi, ConflictModel::Coarse).is_err());
     }

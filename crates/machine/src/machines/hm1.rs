@@ -366,7 +366,7 @@ mod tests {
         assert!(m.validate_instr(&mi, ConflictModel::Coarse).is_err());
         // Dropping the mov makes the coarse model happy too.
         let mi2 =
-            crate::op::MicroInstr::of(vec![ops[0].clone(), ops[2].clone(), ops[3].clone()]);
+            crate::op::MicroInstr::of(vec![ops[0], ops[2], ops[3]]);
         m.validate_instr(&mi2, ConflictModel::Coarse).unwrap();
     }
 

@@ -35,6 +35,7 @@ use crate::machine::MachineDesc;
 use crate::regs::{RegClass, RegRef, RegisterFile};
 use crate::resource::{Resource, ResourceKind, ResourceUse};
 use crate::semantic::{AluOp, CondKind, Semantic, ShiftOp};
+use crate::srclist::MAX_SRCS;
 use crate::template::{FieldValueSrc, MicroOpTemplate, SrcSpec};
 
 /// A parse error, with the 1-based line number where it occurred.
@@ -319,6 +320,15 @@ pub fn parse(text: &str) -> Result<MachineDesc, MdlError> {
                     let c = mach
                         .find_class(toks.get(1).copied().unwrap_or(""))
                         .ok_or_else(|| err(ln, "unknown class"))?;
+                    if t.reg_src_count() == MAX_SRCS {
+                        return Err(err(
+                            ln,
+                            format!(
+                                "template `{}` takes more than {MAX_SRCS} register sources",
+                                t.name
+                            ),
+                        ));
+                    }
                     t.srcs.push(SrcSpec::Class(c));
                 }
                 "imm" => {
@@ -557,6 +567,22 @@ end
         assert_eq!(m.name, "TINY");
         assert_eq!(m.templates.len(), 1);
         assert_eq!(m.templates[0].name, "mov");
+    }
+
+    #[test]
+    fn a_fourth_register_source_is_refused_on_its_line() {
+        let text = |srcs: usize| {
+            "machine T width 8 phases 1\nfile R count 4 width 8\nclass gp = R[0..4]\n\
+             template wide semantic alu.add\n  dst gp\n"
+                .to_string()
+                + &"  src gp\n".repeat(srcs)
+                + "end\n"
+        };
+        let m = parse(&text(MAX_SRCS)).unwrap();
+        assert_eq!(m.templates[0].reg_src_count(), MAX_SRCS);
+        let e = parse(&text(MAX_SRCS + 1)).unwrap_err();
+        assert_eq!(e.line, 6 + MAX_SRCS, "{e}");
+        assert!(e.message.contains("template `wide`"), "{e}");
     }
 
     #[test]

@@ -8,16 +8,20 @@
 use crate::ids::TemplateId;
 use crate::regs::RegRef;
 use crate::semantic::CondKind;
+use crate::srclist::SrcList;
 
-/// A micro-operation bound to concrete operands.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A micro-operation bound to concrete operands. Its sources are held
+/// inline, so it is `Copy`: placing, caching or loading an op copies it
+/// and allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BoundOp {
     /// Which template.
     pub template: TemplateId,
     /// Destination register, when the template writes one.
     pub dst: Option<RegRef>,
-    /// Source registers, in template order (immediates excluded).
-    pub srcs: Vec<RegRef>,
+    /// Source registers, in template order (immediates excluded); at most
+    /// [`MAX_SRCS`](crate::MAX_SRCS).
+    pub srcs: SrcList<RegRef>,
     /// Immediate value, when the template takes one.
     pub imm: Option<u64>,
     /// Symbolic branch target: a block id (resolved to a control store
@@ -33,7 +37,7 @@ impl BoundOp {
         BoundOp {
             template,
             dst: None,
-            srcs: Vec::new(),
+            srcs: SrcList::new(),
             imm: None,
             target: None,
             cond: None,
@@ -47,6 +51,10 @@ impl BoundOp {
     }
 
     /// Appends a source register.
+    ///
+    /// # Panics
+    ///
+    /// When the op already has [`MAX_SRCS`](crate::MAX_SRCS) sources.
     pub fn with_src(mut self, src: RegRef) -> Self {
         self.srcs.push(src);
         self

@@ -1,22 +1,23 @@
 //! Abstract micro-operations.
 
-use mcc_machine::{AluOp, CondKind, Semantic, ShiftOp};
+use mcc_machine::{AluOp, CondKind, Semantic, ShiftOp, SrcList};
 
 use crate::func::BlockId;
 use crate::operand::Operand;
 
 /// One abstract micro-operation: a [`Semantic`] plus operands. Unlike a
 /// bound operation, operands may be virtual and no machine template has
-/// been chosen yet.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// been chosen yet. Its sources are held inline, so it is `Copy`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MirOp {
     /// What the operation does.
     pub sem: Semantic,
     /// Destination operand, when the operation produces a value.
     pub dst: Option<Operand>,
-    /// Source operands. For [`Semantic::MemRead`] this is `[addr]`; for
-    /// [`Semantic::MemWrite`] it is `[addr, data]`.
-    pub srcs: Vec<Operand>,
+    /// Source operands, at most [`MAX_SRCS`](mcc_machine::MAX_SRCS). For
+    /// [`Semantic::MemRead`] this is `[addr]`; for [`Semantic::MemWrite`]
+    /// it is `[addr, data]`.
+    pub srcs: SrcList<Operand>,
     /// Immediate constant (shift amounts, `LoadImm` values, dispatch masks).
     pub imm: Option<u64>,
     /// Call target (procedure entry block). Branch targets live in
@@ -38,7 +39,7 @@ impl MirOp {
         MirOp {
             sem,
             dst: None,
-            srcs: Vec::new(),
+            srcs: SrcList::new(),
             imm: None,
             target: None,
             cond: None,
@@ -51,7 +52,7 @@ impl MirOp {
         MirOp {
             sem: Semantic::Alu(op),
             dst: Some(dst.into()),
-            srcs: vec![a.into(), b.into()],
+            srcs: SrcList::from([a.into(), b.into()]),
             imm: None,
             target: None,
             cond: None,
@@ -64,7 +65,7 @@ impl MirOp {
         MirOp {
             sem: Semantic::Alu(op),
             dst: Some(dst.into()),
-            srcs: vec![a.into()],
+            srcs: SrcList::from([a.into()]),
             imm: Some(imm),
             target: None,
             cond: None,
@@ -78,7 +79,7 @@ impl MirOp {
         MirOp {
             sem: Semantic::Alu(op),
             dst: Some(dst.into()),
-            srcs: vec![a.into()],
+            srcs: SrcList::from([a.into()]),
             imm: None,
             target: None,
             cond: None,
@@ -91,7 +92,7 @@ impl MirOp {
         MirOp {
             sem: Semantic::Shift(op),
             dst: Some(dst.into()),
-            srcs: vec![a.into()],
+            srcs: SrcList::from([a.into()]),
             imm: Some(amount),
             target: None,
             cond: None,
@@ -104,7 +105,7 @@ impl MirOp {
         MirOp {
             sem: Semantic::Move,
             dst: Some(dst.into()),
-            srcs: vec![a.into()],
+            srcs: SrcList::from([a.into()]),
             imm: None,
             target: None,
             cond: None,
@@ -117,7 +118,7 @@ impl MirOp {
         MirOp {
             sem: Semantic::LoadImm,
             dst: Some(dst.into()),
-            srcs: Vec::new(),
+            srcs: SrcList::new(),
             imm: Some(value),
             target: None,
             cond: None,
@@ -130,7 +131,7 @@ impl MirOp {
         MirOp {
             sem: Semantic::MemRead,
             dst: Some(dst.into()),
-            srcs: vec![addr.into()],
+            srcs: SrcList::from([addr.into()]),
             imm: None,
             target: None,
             cond: None,
@@ -143,7 +144,7 @@ impl MirOp {
         MirOp {
             sem: Semantic::MemWrite,
             dst: None,
-            srcs: vec![addr.into(), data.into()],
+            srcs: SrcList::from([addr.into(), data.into()]),
             imm: None,
             target: None,
             cond: None,
@@ -156,7 +157,7 @@ impl MirOp {
         MirOp {
             sem: Semantic::Call,
             dst: None,
-            srcs: Vec::new(),
+            srcs: SrcList::new(),
             imm: None,
             target: Some(entry),
             cond: None,

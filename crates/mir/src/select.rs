@@ -194,6 +194,12 @@ fn try_bind(
 
 /// Selects one MIR op, returning all admissible candidates.
 ///
+/// Binding copies each source into the candidate's inline list, the flag
+/// discipline below filters the candidates in place, and the read and
+/// write unions are built from [`MachineDesc::reads`] and
+/// [`MachineDesc::writes`], so a selection allocates only the three
+/// `Vec`s it returns.
+///
 /// Flag discipline: for flag-setting semantics (ALU, shift) a machine may
 /// offer both flag-writing and flag-free template variants (WM-64's second
 /// ALU, HM-1's `.nf` forms). The two are **not** interchangeable — a
@@ -210,16 +216,11 @@ pub fn select_op(m: &MachineDesc, op: &MirOp) -> Result<SelectedOp, SelectError>
         }
     }
     if matches!(op.sem, Semantic::Alu(_) | Semantic::Shift(_)) {
-        let (flagful, flagfree): (Vec<_>, Vec<_>) = candidates
-            .into_iter()
-            .partition(|b| m.template(b.template).writes_flags);
-        candidates = if op.flags_dead && !flagfree.is_empty() {
-            flagfree
-        } else if !flagful.is_empty() {
-            flagful
-        } else {
-            flagfree
-        };
+        let writes_flags = |b: &BoundOp| m.template(b.template).writes_flags;
+        let flagful = candidates.iter().any(writes_flags);
+        let flagfree = !candidates.iter().all(writes_flags);
+        let keep_flagful = flagful && !(op.flags_dead && flagfree);
+        candidates.retain(|b| writes_flags(b) == keep_flagful);
     }
     if candidates.is_empty() {
         // Distinguish "imm too wide" from "no such operation" for better
@@ -233,12 +234,12 @@ pub fn select_op(m: &MachineDesc, op: &MirOp) -> Result<SelectedOp, SelectError>
     let mut reads = Vec::new();
     let mut writes = Vec::new();
     for c in &candidates {
-        for r in m.read_set(c) {
+        for r in m.reads(c) {
             if !reads.contains(&r) {
                 reads.push(r);
             }
         }
-        for w in m.write_set(c) {
+        for w in m.writes(c) {
             if !writes.contains(&w) {
                 writes.push(w);
             }

@@ -103,7 +103,7 @@ fn hand_built() -> Artifact {
     let bare = BoundOp {
         template: TemplateId(0),
         dst: None,
-        srcs: Vec::new(),
+        srcs: mcc_machine::SrcList::new(),
         imm: None,
         target: None,
         cond: None,
@@ -111,7 +111,7 @@ fn hand_built() -> Artifact {
     let full = BoundOp {
         template: TemplateId(u16::MAX),
         dst: Some(reg(3, u16::MAX)),
-        srcs: vec![reg(0, 1), reg(2, 7), reg(0, 0)],
+        srcs: mcc_machine::SrcList::from([reg(0, 1), reg(2, 7), reg(0, 0)]),
         imm: Some(u64::MAX),
         target: Some(u32::MAX),
         cond: Some(CondKind::True),
@@ -122,7 +122,7 @@ fn hand_built() -> Artifact {
         .map(|(i, c)| BoundOp {
             template: TemplateId(10 + i as u16),
             dst: (i % 2 == 0).then(|| reg(1, i as u16)),
-            srcs: vec![reg(0, i as u16); i % 3],
+            srcs: std::iter::repeat_n(reg(0, i as u16), i % 3).collect(),
             imm: (i % 3 == 1).then_some(i as u64 * 1_000_003),
             target: Some(i as u32),
             cond: Some(c),
